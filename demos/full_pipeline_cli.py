@@ -6,7 +6,7 @@ solve it, run the block-matching baseline, and score both against manually
 tracked feature points. Outputs land in a temporary directory that is printed
 (and kept) so you can poke at the rasters afterwards.
 
-Run:  python3 demos/full_pipeline_cli.py      (about 5 s)
+Run:  python3 demos/full_pipeline_cli.py      (about 1 s)
 """
 import json
 import tempfile
@@ -27,7 +27,7 @@ def run():
     assert rc == 0
 
     # 2. dense deformation solve (exit code 0 = converged); the 20 px drift
-    #    needs about 6000 scaling sweeps at this eps
+    #    needs about 210 scaling sweeps at this eps
     rc = main(["solve", f"{out}/pair_source.pgm", f"{out}/pair_target.pgm",
                "--out-prefix", f"{out}/ot_", "--eps", "1e-3",
                "--max-iter", "8000", "--vectors-csv", f"{out}/vectors.csv",

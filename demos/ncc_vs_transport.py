@@ -6,7 +6,7 @@ all where the window lacks texture. The transport solve instead assigns every
 valid pixel a velocity. This demo runs both on a textured pair translated by
 a known 5 px and prints what each recovers.
 
-Run:  python3 demos/ncc_vs_transport.py      (about 10 s)
+Run:  python3 demos/ncc_vs_transport.py      (about 2 s)
 """
 import numpy as np
 

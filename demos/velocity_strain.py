@@ -7,7 +7,7 @@ translation should give (a) interior velocities matching the imposed motion
 and (b) strain that concentrates in the blurred floe edge and decays to zero
 toward the rigid core.
 
-Run:  python3 demos/velocity_strain.py      (about 2 s)
+Run:  python3 demos/velocity_strain.py      (under 1 s)
 """
 import numpy as np
 

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL)
     sp.add_argument("--max-iter", type=int, default=otcore.DEFAULT_MAX_ITER)
     sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
-    sp.add_argument("--truncation-radius", type=int)
     sp.add_argument("--log-domain", action="store_true",
                     help="log-space iterations for very sharp mass contrasts")
     sp.add_argument("--mask-threshold", type=float, default=raster.DEFAULT_MASK_THRESHOLD)
@@ -151,7 +150,7 @@ def cmd_solve(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "dense" if g.n <= otcore.DENSE_MAX_PIXELS else "conv"
-    kernel = otcore.KernelSpec(args.eps, mode, args.truncation_radius)
+    kernel = otcore.KernelSpec(args.eps, mode)
     pair = otcore.sinkhorn(p, q, kernel, tol=args.tol, max_iter=args.max_iter,
                            log_domain=args.log_domain)
 

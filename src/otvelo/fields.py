@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .otcore import (CostMatrix, ScalingPair, StabilizationError, _make_operator,
-                     _require_converged, build_cost, coupling_marginals,
-                     transport_cost_rows, wasserstein_value)
+from .otcore import (CostMatrix, ScalingPair, _linear_scalings, _make_operator,
+                     _require_converged, build_cost, transport_cost_rows,
+                     wasserstein_value)
 from .raster import GridGeometry, MassField
 
 # Pixels whose mass is below this multiple of the per-pixel floor contribution
@@ -68,25 +68,15 @@ def _valid_pixels(p: MassField) -> np.ndarray:
     return p.mask & (p.mass >= LOW_MASS_FACTOR * p.floor_mass)
 
 
-def transport_distance(p: MassField, pair: ScalingPair,
-                       q: MassField | None = None,
+def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
                        cost: CostMatrix | None = None,
                        strict: bool = True) -> TransportSummary:
-    """Regularized distance plus the per-pixel mean transport cost.
-
-    When ``q`` is omitted the column marginal of the coupling stands in for
-    it in the dual value formula (identical at convergence).
-    """
+    """Regularized distance plus the per-pixel mean transport cost."""
     rows = transport_cost_rows(p, pair, cost=cost, strict=strict)
     cbar = np.maximum(rows, 0.0) / p.mass
     valid = _valid_pixels(p)
     cbar = np.where(valid, cbar, np.nan)
-    if q is not None:
-        w_eps = wasserstein_value(p, q, pair, strict=strict)
-    else:
-        _, col = coupling_marginals(p, pair, cost=cost)
-        eps = pair.kernel.epsilon
-        w_eps = float(eps * (p.mass @ pair.log_u + col @ pair.log_w))
+    w_eps = wasserstein_value(p, q, pair, strict=strict)
     return TransportSummary(w_eps, cbar, valid)
 
 
@@ -118,12 +108,7 @@ def barycentric_map(p: MassField, pair: ScalingPair,
         ty = (gamma @ y) / p.mass
     else:
         op = _make_operator(pair.kernel, p.geometry)
-        u, w = pair.u, pair.w
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-            raise StabilizationError(
-                "scaling vectors exceed float64 range in linear form; "
-                "re-solve in dense mode for this instance"
-            )
+        u, w = _linear_scalings(pair)
         tx = u * op.apply(w * x) / p.mass
         ty = u * op.apply(w * y) / p.mass
     valid = _valid_pixels(p)

@@ -11,9 +11,12 @@ and is found by alternating diagonal scaling (Sinkhorn iteration):
 
     w <- q / (xi^T u),   u <- p / (xi w)
 
-starting from u = 1, stopping when the infinity norm of the u-change drops
-below ``tol`` or after ``max_iter`` sweeps.  At the optimum the value has the
-dual expression
+starting from u = 1.  The u-update makes the source marginal exact, so the
+iteration stops when the L1 target-marginal error ||w * (xi^T u) - q||_1
+drops to ``tol`` (the rule of Altschuler, Weed & Rigollet 2017; Peyre &
+Cuturi, "Computational Optimal Transport", sec. 4.2) or after ``max_iter``
+sweeps.  Linear and log-domain iterations share this loop.  At the optimum
+the value has the dual expression
 
     W_eps = eps * (<p, log u> + <q, log w>)
 
@@ -61,22 +64,21 @@ class KernelSpec:
     """Regularization strength and kernel application strategy.
 
     ``epsilon`` is in normalized squared-length units (the longer image axis
-    has length 1).  ``truncation_radius`` (convolutional mode only) overrides
-    the automatic 1-D kernel truncation; it must keep the boundary weight at
-    or below 1e-16 of the center weight.
+    has length 1).  Convolutional mode truncates the 1-D kernels at
+    :func:`required_truncation_radius`.
     """
 
     epsilon: float
     mode: str = "conv"
-    truncation_radius: int | None = None
+    # not a field: the radius always follows from epsilon and the grid; the
+    # attribute stays readable for perfbench/tracing.py
+    truncation_radius = None
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
         if self.mode not in ("dense", "conv"):
             raise ValueError("mode must be 'dense' or 'conv'")
-        if self.truncation_radius is not None and self.truncation_radius < 1:
-            raise ValueError("truncation_radius must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +93,9 @@ class CostMatrix:
 class ScalingPair:
     """Sinkhorn output: scaling vectors (stored as logs) plus diagnostics.
 
-    ``residual`` is the final infinity-norm marginal violation; ``converged``
-    requires both the u-change criterion and residual <= tol.
-    ``residual_history[k]`` is the target-marginal residual after sweep k + 1.
+    ``residual`` is the final L1 target-marginal error ||w * (xi^T u) - q||_1
+    (the source marginal is exact after every sweep); ``converged`` means
+    residual <= tol.  ``residual_history[k]`` is that error after sweep k + 1.
     """
 
     log_u: np.ndarray
@@ -170,16 +172,7 @@ class _ConvOperator:
     """xi as two banded 1-D Gaussian passes; memory stays O(N)."""
 
     def __init__(self, spec: KernelSpec, geometry: GridGeometry):
-        required = required_truncation_radius(spec.epsilon, geometry)
-        longest = max(geometry.width, geometry.height)
-        radius = spec.truncation_radius
-        if radius is None:
-            radius = required
-        elif radius < min(required, longest - 1):
-            raise ValueError(
-                f"truncation_radius {radius} drops 1-D weights above 1e-16 of "
-                f"center; need >= {required}"
-            )
+        radius = required_truncation_radius(spec.epsilon, geometry)
         self.radius = radius
         self.shape = (geometry.height, geometry.width)
         pitch = geometry.pitch
@@ -256,12 +249,12 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     """Alternating diagonal scaling toward gamma = diag(u) xi diag(w).
 
     Each sweep updates w <- q / (xi^T u) then u <- p / (xi w), so the source
-    marginal is satisfied exactly after every sweep; iteration stops when the
-    infinity norm of the u-change falls below ``tol`` or at ``max_iter``.
-    ``log_domain=True`` runs the same recursion on log u, log w with
-    logsumexp kernel applications (per-pixel running offsets), which tolerates
-    arbitrarily sharp mass ratios at the price of speed; its stopping test is
-    the infinity norm of the log-u change.
+    marginal is exact after every sweep.  Iteration stops once the L1
+    target-marginal error ||w * xi^T u - q||_1 is at most ``tol``, or after
+    ``max_iter`` sweeps; the check reuses the xi^T u the next sweep needs.
+    ``log_domain=True`` runs the same loop on log u, log w with logsumexp
+    kernel applications, which tolerates arbitrarily sharp mass ratios at
+    the price of speed.
 
     Raises StabilizationError if the scaling vectors overflow or underflow in
     linear mode.
@@ -274,71 +267,56 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
         raise ValueError("max_iter must be >= 1")
     op = _make_operator(kernel, p.geometry)
     if log_domain:
-        return _sinkhorn_log(p, q, kernel, op, tol, max_iter)
+        apply, divide = op.log_apply, np.subtract
+        pv, qv = np.log(p.mass), np.log(q.mass)
+        check = lambda *_: None  # log scalings span any range
+        u = np.zeros(p.geometry.n)
+    else:
+        apply, divide = op.apply, np.divide
+        pv, qv = p.mass, q.mass
+        check = _check_scaling
+        u = np.ones(p.geometry.n)
 
-    pv, qv = p.mass, q.mass
-    u = np.ones(p.geometry.n)
-    w = np.ones(p.geometry.n)
-    s = None
     history = []
-    delta = np.inf
-    iterations = 0
     # overflow is detected by _check_scaling, not by numpy warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = apply(u)
         for iterations in range(1, max_iter + 1):
-            t = op.apply(u)
-            _check_scaling(t, "xi^T u", iterations)
-            if iterations > 1:
-                history.append(float(np.abs(w * t - qv).max()))
-            w = qv / t
-            _check_scaling(w, "w", iterations)
-            s = op.apply(w)
-            _check_scaling(s, "xi w", iterations)
-            u_new = pv / s
-            _check_scaling(u_new, "u", iterations)
-            delta = float(np.abs(u_new - u).max())
-            u = u_new
-            if delta < tol:
+            w = divide(qv, t)
+            check(w, "w", iterations)
+            s = apply(w)
+            check(s, "xi w", iterations)
+            u = divide(pv, s)
+            check(u, "u", iterations)
+            t = apply(u)
+            check(t, "xi^T u", iterations)
+            col = np.exp(w + t) if log_domain else w * t
+            history.append(float(np.abs(col - q.mass).sum()))
+            if history[-1] <= tol:
                 break
-    t = op.apply(u)
-    res_q = float(np.abs(w * t - qv).max())
-    res_p = float(np.abs(u * s - pv).max())
-    history.append(res_q)
-    residual = max(res_p, res_q)
-    converged = delta < tol and residual <= tol
-    return ScalingPair(np.log(u), np.log(w), iterations, residual, converged,
-                       kernel, np.asarray(history))
-
-
-def _sinkhorn_log(p: MassField, q: MassField, kernel: KernelSpec, op,
-                  tol: float, max_iter: int) -> ScalingPair:
-    lp = np.log(p.mass)
-    lq = np.log(q.mass)
-    lu = np.zeros(p.geometry.n)
-    lw = np.zeros(p.geometry.n)
-    ls = None
-    history = []
-    delta = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        lt = op.log_apply(lu)
-        if iterations > 1:
-            history.append(float(np.abs(np.exp(lw + lt) - q.mass).max()))
-        lw = lq - lt
-        ls = op.log_apply(lw)
-        lu_new = lp - ls
-        delta = float(np.abs(lu_new - lu).max())
-        lu = lu_new
-        if delta < tol:
-            break
-    lt = op.log_apply(lu)
-    res_q = float(np.abs(np.exp(lw + lt) - q.mass).max())
-    res_p = float(np.abs(np.exp(lu + ls) - p.mass).max())
-    history.append(res_q)
-    residual = max(res_p, res_q)
-    converged = delta < tol and residual <= tol
-    return ScalingPair(lu, lw, iterations, residual, converged, kernel,
+    if not log_domain:
+        u, w = np.log(u), np.log(w)
+    residual = history[-1]
+    return ScalingPair(u, w, iterations, residual, residual <= tol, kernel,
                        np.asarray(history))
+
+
+def _linear_scalings(pair: ScalingPair) -> tuple[np.ndarray, np.ndarray]:
+    """u and w in linear form, as the convolutional field formulas need them.
+
+    Raises StabilizationError when a log-domain solve left them outside the
+    float64 range.
+    """
+    with np.errstate(over="ignore"):
+        u, w = pair.u, pair.w
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
+        raise StabilizationError(
+            "scaling vectors exceed the float64 range in linear form, so the "
+            "convolutional fields cannot be formed; re-solve with a larger "
+            "epsilon (--eps). Dense mode forms the fields in log space but is "
+            f"limited to {DENSE_MAX_PIXELS} pixels."
+        )
+    return u, w
 
 
 def _require_converged(pair: ScalingPair, what: str, strict: bool) -> None:
@@ -405,12 +383,7 @@ def transport_cost_rows(p: MassField, pair: ScalingPair,
                        + pair.log_w[None, :])
         return (gamma * c).sum(axis=1)
     op = _make_operator(pair.kernel, p.geometry)
-    u, w = pair.u, pair.w
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-        raise StabilizationError(
-            "scaling vectors exceed float64 range in linear form; "
-            "re-solve in dense mode for this instance"
-        )
+    u, w = _linear_scalings(pair)
     x, y = p.geometry.pixel_centers()
     sq = x * x + y * y
     kx = op.apply(w * x)

@@ -167,6 +167,20 @@ def test_solve_log_domain_rescues_sharp_pair(tmp_path):
     assert summary["converged"] is True
 
 
+def test_conv_log_domain_overflow_advises_larger_eps(tmp_path, capsys):
+    # the log-domain iterations stay finite, but the convolutional fields
+    # need linear scalings, which overflow; dense mode is no rescue above its
+    # pixel limit
+    a, b = _corner_pair(tmp_path)
+    rc = main(["solve", a, b, "--out-prefix", str(tmp_path / "c_"),
+               "--eps", "1e-5", "--mode", "conv", "--log-domain"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "larger epsilon" in err
+    assert "4096 pixels" in err
+    assert "re-solve in dense mode" not in err
+
+
 def test_oracle_cli_reports_exact_value(tmp_path, capsys):
     g = GridGeometry(8, 8, 250.0)
     a = np.zeros((8, 8))

@@ -4,9 +4,9 @@ import pytest
 from otvelo import (
     DENSE_MAX_PIXELS, GridGeometry, KernelSpec, NotConvergedError, ScaleError,
     StabilizationError,
-    build_cost, coupling_marginals, dense_coupling, kernel_apply,
-    required_truncation_radius, sinkhorn, transport_cost_rows,
-    wasserstein_value,
+    build_cost, coupling_marginals, dense_coupling, kernel_apply, make_scenario,
+    normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
+    transport_cost_rows, wasserstein_value,
 )
 
 
@@ -86,23 +86,11 @@ def test_kernel_apply_validates_input():
         kernel_apply(np.full(16, np.nan), k, g)
 
 
-def test_truncation_radius_validation():
-    g = GridGeometry(16, 16, 250.0)
-    needed = required_truncation_radius(1e-2, g)
-    # KernelSpec accepts any radius; the operator refuses lossy ones
-    with pytest.raises(ValueError):
-        kernel_apply(np.ones(g.n), KernelSpec(1e-2, "conv", needed - 1), g)
-    out = kernel_apply(np.ones(g.n), KernelSpec(1e-2, "conv", needed), g)
-    assert np.all(np.isfinite(out))
-
-
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(0.0, "dense")
     with pytest.raises(ValueError):
         KernelSpec(1e-2, "spectral")
-    with pytest.raises(ValueError):
-        KernelSpec(1e-2, "conv", truncation_radius=0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +130,19 @@ def test_residual_history_matches_and_decreases(mass_field):
     assert len(h) == pair.iterations
     assert h[-1] == pytest.approx(pair.residual)
     assert np.all(np.diff(h) <= 1e-12 * h[0])
+
+
+def test_converged_translate_pair_stops_on_marginal_error():
+    # the scalings of this pair span many decades, so a rule on their change
+    # would run to max_iter long after the marginals hold
+    src, tgt = render_pair(make_scenario("translate", size=32), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    tol = 1e-6
+    pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"), tol=tol, max_iter=20000)
+    assert pair.converged
+    assert pair.iterations < 1000
+    _, col = coupling_marginals(p, pair)
+    assert np.abs(col - q.mass).sum() <= tol
 
 
 def test_deterministic_rerun_is_bit_identical(mass_field):
@@ -266,6 +267,8 @@ def test_log_domain_agrees_with_linear_mode(mass_field):
     wa = wasserstein_value(p, q, a)
     wb = wasserstein_value(p, q, b)
     assert wa == pytest.approx(wb, rel=1e-8)
+    # one loop, one stopping rule
+    assert a.iterations == b.iterations
 
 
 def test_log_domain_conv_mode(mass_field):
