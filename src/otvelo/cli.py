@@ -147,9 +147,7 @@ def cmd_solve(args) -> int:
         tgt = raster.equalize_contrast(tgt, args.tile, args.clip_limit, mask_tgt)
     p = raster.normalize_to_mass(src, args.floor, mask_src)
     q = raster.normalize_to_mass(tgt, args.floor, mask_tgt)
-    mode = args.mode
-    if mode == "auto":
-        mode = "dense" if g.n <= otcore.DENSE_MAX_PIXELS else "conv"
+    mode = otcore.resolve_mode(args.mode, g.n)
     kernel = otcore.KernelSpec(args.eps, mode)
     pair = otcore.sinkhorn(p, q, kernel, tol=args.tol, max_iter=args.max_iter,
                            log_domain=args.log_domain)
@@ -198,7 +196,14 @@ def cmd_solve(args) -> int:
     print(f"W_eps={summary.w_eps:.9g} iterations={pair.iterations} "
           f"residual={pair.residual:.3e} converged={pair.converged}")
     if not pair.converged:
-        print("warning: stopped at max_iter before reaching tol", file=sys.stderr)
+        advice = ""
+        if mode == "conv":
+            radius = otcore.required_truncation_radius(args.eps, g)
+            advice = (f"; the conv kernel reaches {radius} px, so ice moving "
+                      "farther needs a larger --eps, or --mode dense (up to "
+                      f"{otcore.DENSE_MAX_PIXELS} pixels)")
+        print(f"warning: stopped at max_iter before reaching tol{advice}",
+              file=sys.stderr)
         return 2
     return 0
 

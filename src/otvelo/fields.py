@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .otcore import (CostMatrix, ScalingPair, _linear_scalings, _make_operator,
-                     _require_converged, build_cost, transport_cost_rows,
-                     wasserstein_value)
+from .otcore import (ScalingPair, _require_converged, _scaled_apply,
+                     transport_cost_rows, wasserstein_value)
 from .raster import GridGeometry, MassField
 
 # Pixels whose mass is below this multiple of the per-pixel floor contribution
@@ -69,10 +68,9 @@ def _valid_pixels(p: MassField) -> np.ndarray:
 
 
 def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
-                       cost: CostMatrix | None = None,
                        strict: bool = True) -> TransportSummary:
     """Regularized distance plus the per-pixel mean transport cost."""
-    rows = transport_cost_rows(p, pair, cost=cost, strict=strict)
+    rows = transport_cost_rows(p, pair, strict=strict)
     cbar = np.maximum(rows, 0.0) / p.mass
     valid = _valid_pixels(p)
     cbar = np.where(valid, cbar, np.nan)
@@ -89,7 +87,6 @@ def transport_speed(summary: TransportSummary, geometry: GridGeometry,
 
 
 def barycentric_map(p: MassField, pair: ScalingPair,
-                    cost: CostMatrix | None = None,
                     strict: bool = True) -> BarycentricMap:
     """Row-normalized mean target position  x_q = (u * xi(w * x)) / p.
 
@@ -100,20 +97,10 @@ def barycentric_map(p: MassField, pair: ScalingPair,
     """
     _require_converged(pair, "barycentric map", strict)
     x, y = p.geometry.pixel_centers()
-    if pair.kernel.mode == "dense":
-        c = (cost or build_cost(p.geometry)).entries
-        gamma = np.exp(pair.log_u[:, None] - c / pair.kernel.epsilon
-                       + pair.log_w[None, :])
-        tx = (gamma @ x) / p.mass
-        ty = (gamma @ y) / p.mass
-    else:
-        op = _make_operator(pair.kernel, p.geometry)
-        u, w = _linear_scalings(pair)
-        tx = u * op.apply(w * x) / p.mass
-        ty = u * op.apply(w * y) / p.mass
+    tx, ty = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y)
     valid = _valid_pixels(p)
-    return BarycentricMap(np.where(valid, tx, np.nan),
-                          np.where(valid, ty, np.nan), valid)
+    return BarycentricMap(np.where(valid, tx / p.mass, np.nan),
+                          np.where(valid, ty / p.mass, np.nan), valid)
 
 
 def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> VelocityField:

@@ -25,9 +25,16 @@ which this module uses throughout (it is exact whenever the marginals hold).
 Because the squared Euclidean cost separates along axes, xi factorizes into
 two 1-D Gaussian kernels: applying xi to a field is two banded 1-D
 convolution passes (columns then rows) instead of an N x N product.  The 1-D
-weights exp(-(k * pitch)^2 / eps) are truncated at the radius where the
-boundary weight falls to 1e-16 of the center weight; the dense path is kept
-for small grids and as a cross-check.
+weights exp(-(k * pitch)^2 / eps) are truncated at the radius r where the
+boundary weight falls to 1e-16 of the center weight.  The truncation also
+caps the displacement the convolutional kernel can carry at r pixels, in
+linear and log-domain arithmetic alike: mass that must move farther never
+reaches the target marginal, and the solve stops at ``max_iter`` unconverged.
+The dense path is kept for small grids and as a cross-check.
+
+Derived quantities (cost rows, barycentric map, marginals) are all sums
+u * xi(w * f) over the coupling; they are formed through the same kernel
+operator and in the same arithmetic as the solve that produced u and w.
 """
 from __future__ import annotations
 
@@ -96,6 +103,8 @@ class ScalingPair:
     ``residual`` is the final L1 target-marginal error ||w * (xi^T u) - q||_1
     (the source marginal is exact after every sweep); ``converged`` means
     residual <= tol.  ``residual_history[k]`` is that error after sweep k + 1.
+    ``log_domain`` records the arithmetic of the solve, which derived fields
+    reuse.
     """
 
     log_u: np.ndarray
@@ -105,14 +114,7 @@ class ScalingPair:
     converged: bool
     kernel: KernelSpec
     residual_history: np.ndarray
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.exp(self.log_u)
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.exp(self.log_w)
+    log_domain: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +156,8 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _DenseOperator:
-    def __init__(self, spec: KernelSpec, geometry: GridGeometry,
-                 cost: CostMatrix | None = None):
-        if cost is None:
-            cost = build_cost(geometry)
-        self.exponent = -cost.entries / spec.epsilon
+    def __init__(self, spec: KernelSpec, geometry: GridGeometry):
+        self.exponent = -build_cost(geometry).entries / spec.epsilon
         self.xi = np.exp(self.exponent)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -217,11 +216,20 @@ class _ConvOperator:
         return self._lse_pass(self._lse_pass(grid, axis=1), axis=0).reshape(-1)
 
 
-def _make_operator(spec: KernelSpec, geometry: GridGeometry,
-                   cost: CostMatrix | None = None):
+def _make_operator(spec: KernelSpec, geometry: GridGeometry):
     if spec.mode == "dense":
-        return _DenseOperator(spec, geometry, cost)
+        return _DenseOperator(spec, geometry)
     return _ConvOperator(spec, geometry)
+
+
+def resolve_mode(mode: str, n: int) -> str:
+    """Kernel mode for an n-pixel grid: ``auto`` picks dense up to
+    DENSE_MAX_PIXELS pixels and convolutional beyond."""
+    if mode == "auto":
+        return "dense" if n <= DENSE_MAX_PIXELS else "conv"
+    if mode not in ("dense", "conv"):
+        raise ValueError("mode must be auto, dense, or conv")
+    return mode
 
 
 def kernel_apply(v: np.ndarray, kernel: KernelSpec, geometry: GridGeometry) -> np.ndarray:
@@ -298,25 +306,22 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
         u, w = np.log(u), np.log(w)
     residual = history[-1]
     return ScalingPair(u, w, iterations, residual, residual <= tol, kernel,
-                       np.asarray(history))
+                       np.asarray(history), log_domain)
 
 
-def _linear_scalings(pair: ScalingPair) -> tuple[np.ndarray, np.ndarray]:
-    """u and w in linear form, as the convolutional field formulas need them.
+def _scaled_apply(log_a: np.ndarray, log_b: np.ndarray, pair: ScalingPair,
+                  geometry: GridGeometry, *fields: np.ndarray) -> list[np.ndarray]:
+    """a * xi(b * f) for each positive field f, in the solve's arithmetic.
 
-    Raises StabilizationError when a log-domain solve left them outside the
-    float64 range.
+    After a log-domain solve this is exp(log a + logsumexp(log b + log f)),
+    which stays finite however far a and b spread; after a linear solve a and
+    b were finite already and the linear apply serves.
     """
-    with np.errstate(over="ignore"):
-        u, w = pair.u, pair.w
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-        raise StabilizationError(
-            "scaling vectors exceed the float64 range in linear form, so the "
-            "convolutional fields cannot be formed; re-solve with a larger "
-            "epsilon (--eps). Dense mode forms the fields in log space but is "
-            f"limited to {DENSE_MAX_PIXELS} pixels."
-        )
-    return u, w
+    op = _make_operator(pair.kernel, geometry)
+    if pair.log_domain:
+        return [np.exp(log_a + op.log_apply(log_b + np.log(f))) for f in fields]
+    a, b = np.exp(log_a), np.exp(log_b)
+    return [a * op.apply(b * f) for f in fields]
 
 
 def _require_converged(pair: ScalingPair, what: str, strict: bool) -> None:
@@ -352,41 +357,27 @@ def wasserstein_value(p: MassField, q: MassField, pair: ScalingPair,
     return float(eps * (p.mass @ pair.log_u + q.mass @ pair.log_w))
 
 
-def coupling_marginals(p: MassField, pair: ScalingPair,
-                       cost: CostMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of the implied coupling, without materializing it
-    in convolutional mode."""
-    if pair.kernel.mode == "dense":
-        gamma = dense_coupling(pair, cost or build_cost(p.geometry), strict=False)
-        return gamma.entries.sum(axis=1), gamma.entries.sum(axis=0)
-    op = _make_operator(pair.kernel, p.geometry)
-    u, w = pair.u, pair.w
-    return u * op.apply(w), w * op.apply(u)
+def coupling_marginals(p: MassField, pair: ScalingPair) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums u * xi(w) and w * xi(u) of the implied coupling
+    (xi is symmetric), without materializing it."""
+    ones = np.ones(p.geometry.n)
+    (row,) = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, ones)
+    (col,) = _scaled_apply(pair.log_w, pair.log_u, pair, p.geometry, ones)
+    return row, col
 
 
 def transport_cost_rows(p: MassField, pair: ScalingPair,
-                        cost: CostMatrix | None = None,
                         strict: bool = True) -> np.ndarray:
-    """Per-source-pixel transport cost sum_j gamma_ij c_ij.
-
-    Dense mode takes direct row sums of gamma * c.  Convolutional mode uses
-    the separated form
+    """Per-source-pixel transport cost sum_j gamma_ij c_ij, from the
+    separated form
 
         |x_i|^2 p_i - 2 x_i . (u * xi(w * x))_i + (u * xi(w * |x|^2))_i
 
-    which needs three kernel applications and no dense matrix.
+    which needs three kernel applications and no dense matrix.  Pixel centers
+    are positive, so the fields x, y and |x|^2 have finite logs.
     """
     _require_converged(pair, "transport cost rows", strict)
-    if pair.kernel.mode == "dense":
-        c = (cost or build_cost(p.geometry)).entries
-        gamma = np.exp(pair.log_u[:, None] - c / pair.kernel.epsilon
-                       + pair.log_w[None, :])
-        return (gamma * c).sum(axis=1)
-    op = _make_operator(pair.kernel, p.geometry)
-    u, w = _linear_scalings(pair)
     x, y = p.geometry.pixel_centers()
     sq = x * x + y * y
-    kx = op.apply(w * x)
-    ky = op.apply(w * y)
-    ks = op.apply(w * sq)
-    return sq * p.mass - 2.0 * (x * u * kx + y * u * ky) + u * ks
+    kx, ky, ks = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y, sq)
+    return sq * p.mass - 2.0 * (x * kx + y * ky) + ks

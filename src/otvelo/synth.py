@@ -18,8 +18,8 @@ from typing import Any
 
 import numpy as np
 
-from .otcore import (DEFAULT_EPS, DEFAULT_MAX_ITER, DEFAULT_TOL,
-                     DENSE_MAX_PIXELS, KernelSpec, sinkhorn, wasserstein_value)
+from .otcore import (DEFAULT_MAX_ITER, DEFAULT_TOL, KernelSpec, resolve_mode,
+                     sinkhorn, wasserstein_value)
 from .raster import DEFAULT_FLOOR, GridGeometry, IntensityRaster, normalize_to_mass
 
 SCENARIO_KINDS = ("translate", "split_equal", "split_unequal", "split_quad",
@@ -286,10 +286,7 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
-    if mode not in ("auto", "dense", "conv"):
-        raise ValueError("mode must be auto, dense, or conv")
-    n = scn.size * scn.size
-    resolved = ("dense" if n <= DENSE_MAX_PIXELS else "conv") if mode == "auto" else mode
+    resolved = resolve_mode(mode, scn.size * scn.size)
     frame0 = render(scn, 0.0)
     p0 = normalize_to_mass(frame0, floor)
     ts = np.linspace(0.0, 1.0, t_steps)

@@ -69,7 +69,6 @@ def test_criterion_02_dense_and_convolutional_modes_agree(mass_field):
     """W_eps, the per-pixel transport cost, and the barycentric maps agree
     between kernel modes within 1e-6 relative on random 16x16 pairs."""
     g = GridGeometry(16, 16, 250.0)
-    cost = build_cost(g)
     rng = np.random.default_rng(42)
     worst_w = worst_cb = worst_bm = 0.0
     for _ in range(3):
@@ -81,11 +80,11 @@ def test_criterion_02_dense_and_convolutional_modes_agree(mass_field):
             wd = wasserstein_value(p, q, pd, strict=False)
             wc = wasserstein_value(p, q, pc, strict=False)
             worst_w = max(worst_w, abs(wd - wc) / abs(wd))
-            sd = transport_distance(p, pd, q=q, cost=cost, strict=False)
+            sd = transport_distance(p, pd, q=q, strict=False)
             sc = transport_distance(p, pc, q=q, strict=False)
             scale = np.nanmax(np.abs(sd.cbar))
             worst_cb = max(worst_cb, np.nanmax(np.abs(sd.cbar - sc.cbar)) / scale)
-            bd = barycentric_map(p, pd, cost=cost, strict=False)
+            bd = barycentric_map(p, pd, strict=False)
             bc = barycentric_map(p, pc, strict=False)
             err = max(np.nanmax(np.abs(bd.target_x - bc.target_x)),
                       np.nanmax(np.abs(bd.target_y - bc.target_y)))
@@ -219,7 +218,6 @@ def test_criterion_08_barycentric_center_of_mass_identity(mass_field):
     """The p-weighted mean of barycentric targets matches the q centroid to
     1e-9 in both kernel modes on a tightly converged solve."""
     g = GridGeometry(16, 16, 250.0)
-    cost = build_cost(g)
     rng = np.random.default_rng(11)
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
@@ -229,8 +227,7 @@ def test_criterion_08_barycentric_center_of_mass_identity(mass_field):
     for mode in ("dense", "conv"):
         pair = sinkhorn(p, q, KernelSpec(1e-2, mode), tol=1e-12, max_iter=200000)
         assert pair.converged
-        kw = {"cost": cost} if mode == "dense" else {}
-        bm = barycentric_map(p, pair, **kw)
+        bm = barycentric_map(p, pair)
         worst = max(worst,
                     abs(float(p.mass @ bm.target_x) - qx),
                     abs(float(p.mass @ bm.target_y) - qy))

@@ -3,8 +3,9 @@ import pytest
 
 from otvelo import (
     GridGeometry, KernelSpec, MassField, NotConvergedError, VelocityField,
-    barycentric_map, build_cost, principal_strain, sinkhorn, strain,
-    transport_distance, transport_speed, velocity,
+    barycentric_map, make_scenario, normalize_to_mass, principal_strain,
+    render_pair, sinkhorn, strain, transport_distance, transport_speed,
+    velocity,
 )
 
 DT = 86400.0
@@ -30,7 +31,7 @@ def test_two_pixel_swap_cbar_is_squared_distance(mass_field):
     q = mass_field(g, np.array([1e-9, 1.0 - 1e-9]))
     pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), tol=1e-12,
                     max_iter=100000, log_domain=True)
-    summary = transport_distance(p, pair, q=q, cost=build_cost(g))
+    summary = transport_distance(p, pair, q=q)
     # nearly all mass at pixel 0 travels the full pitch
     assert summary.cbar[0] == pytest.approx(0.25, rel=1e-3)
     assert summary.w_eps == pytest.approx(0.25, rel=1e-2)
@@ -42,7 +43,7 @@ def test_transport_speed_units(mass_field):
     q = mass_field(g, np.array([1e-9, 1.0 - 1e-9]))
     pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), tol=1e-12,
                     max_iter=100000, log_domain=True)
-    summary = transport_distance(p, pair, q=q, cost=build_cost(g))
+    summary = transport_distance(p, pair, q=q)
     speed = transport_speed(summary, g, DT)
     # sqrt(0.25) * (2 * 250 m) / 86400 s
     assert speed[0] == pytest.approx(0.5 * 500.0 / DT, rel=1e-3)
@@ -52,7 +53,7 @@ def test_uniform_pair_has_negligible_cbar(mass_field):
     g = GridGeometry(16, 16, 250.0)
     p = mass_field(g, np.ones(g.n))
     pair = solve(p, p, eps=1e-3, tol=1e-9, max_iter=10000)
-    summary = transport_distance(p, pair, q=p, cost=build_cost(g))
+    summary = transport_distance(p, pair, q=p)
     # self-transport cost is bounded by the regularization scale
     assert np.nanmax(summary.cbar) <= 10 * 1e-3
 
@@ -62,7 +63,7 @@ def test_cbar_conv_matches_dense(mass_field):
     rng = np.random.default_rng(3)
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
-    sd = transport_distance(p, solve(p, q, mode="dense"), q=q, cost=build_cost(g))
+    sd = transport_distance(p, solve(p, q, mode="dense"), q=q)
     sc = transport_distance(p, solve(p, q, mode="conv"), q=q)
     scale = np.nanmax(np.abs(sd.cbar))
     assert np.nanmax(np.abs(sd.cbar - sc.cbar)) <= 1e-6 * scale
@@ -79,8 +80,8 @@ def test_low_mass_pixels_gated_to_nan():
     mask = vals > 0
     p = MassField(g, weights / weights.sum(), mask, floor)
     pair = solve(p, p)
-    summary = transport_distance(p, pair, q=p, cost=build_cost(g))
-    bmap = barycentric_map(p, pair, cost=build_cost(g))
+    summary = transport_distance(p, pair, q=p)
+    bmap = barycentric_map(p, pair)
     assert np.all(np.isnan(summary.cbar[:8]))
     assert np.all(np.isnan(bmap.target_x[:8]))
     assert np.all(np.isfinite(summary.cbar[8:]))
@@ -95,10 +96,10 @@ def test_strict_flag_on_unconverged_pair(mass_field):
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     pair = sinkhorn(p, q, KernelSpec(1e-3, "dense"), tol=1e-12, max_iter=2)
     with pytest.raises(NotConvergedError):
-        transport_distance(p, pair, q=q, cost=build_cost(g))
+        transport_distance(p, pair, q=q)
     with pytest.raises(NotConvergedError):
-        barycentric_map(p, pair, cost=build_cost(g))
-    summary = transport_distance(p, pair, q=q, cost=build_cost(g), strict=False)
+        barycentric_map(p, pair)
+    summary = transport_distance(p, pair, q=q, strict=False)
     assert np.isfinite(summary.w_eps)
 
 
@@ -113,8 +114,7 @@ def test_center_of_mass_identity_tight_tolerance(mass_field):
     xs, ys = g.pixel_centers()
     for mode in ("dense", "conv"):
         pair = solve(p, q, mode=mode)
-        kwargs = {"cost": build_cost(g)} if mode == "dense" else {}
-        bm = barycentric_map(p, pair, **kwargs)
+        bm = barycentric_map(p, pair)
         assert float(p.mass @ bm.target_x) == pytest.approx(float(q.mass @ xs), abs=1e-9)
         assert float(p.mass @ bm.target_y) == pytest.approx(float(q.mass @ ys), abs=1e-9)
 
@@ -123,7 +123,7 @@ def test_identity_pair_maps_pixels_to_themselves(mass_field):
     g = GridGeometry(16, 16, 250.0)
     p = mass_field(g, np.ones(g.n))
     pair = sinkhorn(p, p, KernelSpec(1e-4, "dense"), tol=1e-9, max_iter=1000)
-    bm = barycentric_map(p, pair, cost=build_cost(g))
+    bm = barycentric_map(p, pair)
     xs, ys = g.pixel_centers()
     assert np.abs(bm.target_x - xs).max() <= 1e-9
     assert np.abs(bm.target_y - ys).max() <= 1e-9
@@ -142,7 +142,7 @@ def test_single_pixel_mass_velocity(mass_field):
     p = mass_field(g, src)
     q = mass_field(g, tgt)
     pair = sinkhorn(p, q, KernelSpec(2e-3, "dense"), tol=1e-8, max_iter=10000)
-    bm = barycentric_map(p, pair, cost=build_cost(g), strict=False)
+    bm = barycentric_map(p, pair, strict=False)
     vel = velocity(bm, g, DT)
     vx = vel.vx.reshape(32, 32)[16, 10]
     expected = 5 * 250.0 / DT  # 0.014468 m/s
@@ -155,10 +155,29 @@ def test_barycentric_conv_matches_dense(mass_field):
     rng = np.random.default_rng(8)
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
-    bd = barycentric_map(p, solve(p, q, mode="dense"), cost=build_cost(g))
+    bd = barycentric_map(p, solve(p, q, mode="dense"))
     bc = barycentric_map(p, solve(p, q, mode="conv"))
     assert np.abs(bd.target_x - bc.target_x).max() <= 1e-9
     assert np.abs(bd.target_y - bc.target_y).max() <= 1e-9
+
+
+def test_conv_log_domain_fields_match_linear():
+    # log-domain fields come from log u and log w through log_apply; on a
+    # pair both arithmetics solve, they must agree with the linear fields
+    src, tgt = render_pair(make_scenario("translate", size=32), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    out = []
+    for log_domain in (False, True):
+        pair = sinkhorn(p, q, KernelSpec(1e-2, "conv"), tol=1e-10,
+                        max_iter=50000, log_domain=log_domain)
+        assert pair.converged
+        out.append((transport_distance(p, pair, q=q), barycentric_map(p, pair)))
+    (s_lin, b_lin), (s_log, b_log) = out
+    valid = s_lin.valid
+    assert valid.any()
+    for a, b in ((s_lin.cbar, s_log.cbar), (b_lin.target_x, b_log.target_x),
+                 (b_lin.target_y, b_log.target_y)):
+        assert np.abs(a[valid] - b[valid]).max() <= 1e-9 * np.abs(a[valid]).max()
 
 
 # ---------------------------------------------------------------------------
