@@ -126,13 +126,15 @@ def strain(vel: VelocityField, geometry: GridGeometry, dt: float) -> StrainField
     h = geometry.pixel_size
     vx = vel.vx.reshape(geometry.height, geometry.width)
     vy = vel.vy.reshape(geometry.height, geometry.width)
-    dvx_dx = np.gradient(vx, h, axis=1, edge_order=2)
-    dvx_dy = np.gradient(vx, h, axis=0, edge_order=2)
-    dvy_dx = np.gradient(vy, h, axis=1, edge_order=2)
-    dvy_dy = np.gradient(vy, h, axis=0, edge_order=2)
-    exx = (dt * dvx_dx).reshape(-1)
-    eyy = (dt * dvy_dy).reshape(-1)
-    exy = (0.5 * dt * (dvx_dy + dvy_dx)).reshape(-1)
+    # in place, so at most two gradient arrays are alive at once
+    exx = np.gradient(vx, h, axis=1, edge_order=2)
+    exx *= dt
+    eyy = np.gradient(vy, h, axis=0, edge_order=2)
+    eyy *= dt
+    exy = np.gradient(vx, h, axis=0, edge_order=2)
+    exy += np.gradient(vy, h, axis=1, edge_order=2)
+    exy *= 0.5 * dt
+    exx, eyy, exy = exx.reshape(-1), eyy.reshape(-1), exy.reshape(-1)
     return StrainField(exx, eyy, exy, _principal(exx, eyy, exy))
 
 

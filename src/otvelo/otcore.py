@@ -22,15 +22,17 @@ the value has the dual expression
 
 which this module uses throughout (it is exact whenever the marginals hold).
 
-Because the squared Euclidean cost separates along axes, xi factorizes into
-two 1-D Gaussian kernels: applying xi to a field is two banded 1-D
-convolution passes (columns then rows) instead of an N x N product.  The 1-D
-weights exp(-(k * pitch)^2 / eps) are truncated at the radius r where the
-boundary weight falls to 1e-16 of the center weight.  The truncation also
+Because the squared Euclidean cost separates along axes, xi is exactly the
+Kronecker product of two 1-D Gaussian kernels (Solomon et al. 2015,
+"Convolutional Wasserstein distances"): applying xi to a field is two 1-D
+passes (columns then rows) with O(N) memory, and no N x N matrix is formed
+in either mode.  Dense mode keeps every 1-D weight exp(-(k * pitch)^2 / eps),
+so it equals the N x N kernel to rounding; it is limited to
+DENSE_MAX_PIXELS pixels.  Convolutional mode truncates the weights at the
+radius r where they fall to 1e-16 of the center weight.  The truncation also
 caps the displacement the convolutional kernel can carry at r pixels, in
 linear and log-domain arithmetic alike: mass that must move farther never
 reaches the target marginal, and the solve stops at ``max_iter`` unconverged.
-The dense path is kept for small grids and as a cross-check.
 
 Derived quantities (cost rows, barycentric map, marginals) are all sums
 u * xi(w * f) over the coupling; they are formed through the same kernel
@@ -55,7 +57,8 @@ _TRUNCATION_EXPONENT = 16.0 * math.log(10.0)
 
 
 class ScaleError(ValueError):
-    """A dense N x N object was requested beyond the dense-mode pixel budget."""
+    """A dense-mode kernel or a dense N x N matrix was requested beyond
+    DENSE_MAX_PIXELS pixels."""
 
 
 class StabilizationError(FloatingPointError):
@@ -71,8 +74,9 @@ class KernelSpec:
     """Regularization strength and kernel application strategy.
 
     ``epsilon`` is in normalized squared-length units (the longer image axis
-    has length 1).  Convolutional mode truncates the 1-D kernels at
-    :func:`required_truncation_radius`.
+    has length 1).  Both modes apply xi as two separable 1-D passes: dense
+    mode keeps the full 1-D kernels (exact, up to DENSE_MAX_PIXELS pixels),
+    convolutional mode truncates them at :func:`required_truncation_radius`.
     """
 
     epsilon: float
@@ -149,29 +153,11 @@ def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
     return max(1, math.ceil(math.sqrt(_TRUNCATION_EXPONENT * epsilon) * longest))
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+class _SeparableOperator:
+    """xi as two banded 1-D Gaussian passes of the given radius in px; memory
+    stays O(N)."""
 
-
-class _DenseOperator:
-    def __init__(self, spec: KernelSpec, geometry: GridGeometry):
-        self.exponent = -build_cost(geometry).entries / spec.epsilon
-        self.xi = np.exp(self.exponent)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.xi @ v
-
-    def log_apply(self, lv: np.ndarray) -> np.ndarray:
-        return _logsumexp(self.exponent + lv[None, :], axis=1)
-
-
-class _ConvOperator:
-    """xi as two banded 1-D Gaussian passes; memory stays O(N)."""
-
-    def __init__(self, spec: KernelSpec, geometry: GridGeometry):
-        radius = required_truncation_radius(spec.epsilon, geometry)
+    def __init__(self, spec: KernelSpec, geometry: GridGeometry, radius: int):
         self.radius = radius
         self.shape = (geometry.height, geometry.width)
         pitch = geometry.pitch
@@ -216,10 +202,16 @@ class _ConvOperator:
         return self._lse_pass(self._lse_pass(grid, axis=1), axis=0).reshape(-1)
 
 
-def _make_operator(spec: KernelSpec, geometry: GridGeometry):
-    if spec.mode == "dense":
-        return _DenseOperator(spec, geometry)
-    return _ConvOperator(spec, geometry)
+def _make_operator(spec: KernelSpec, geometry: GridGeometry) -> _SeparableOperator:
+    if spec.mode == "conv":
+        return _SeparableOperator(
+            spec, geometry, required_truncation_radius(spec.epsilon, geometry))
+    if geometry.n > DENSE_MAX_PIXELS:
+        raise ScaleError(
+            f"dense mode is limited to {DENSE_MAX_PIXELS} pixels and this grid "
+            f"has {geometry.n}; use --mode conv (KernelSpec mode 'conv')")
+    # a radius spanning the longer axis keeps every weight: the exact kernel
+    return _SeparableOperator(spec, geometry, max(geometry.width, geometry.height) - 1)
 
 
 def resolve_mode(mode: str, n: int) -> str:

@@ -114,6 +114,19 @@ def test_solve_geometry_mismatch_exits_1(translate_pair, tmp_path, capsys):
     assert "geometry mismatch" in capsys.readouterr().err
 
 
+def test_dense_mode_beyond_pixel_limit_advises_conv(tmp_path, capsys):
+    g = GridGeometry(65, 64, 250.0)  # 4160 > 4096 pixels
+    for name, t in (("a", 0.0), ("b", 86400.0)):
+        save_raster(IntensityRaster(g, np.full((64, 65), 200.0), t),
+                    tmp_path / f"{name}.pgm")
+    rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+               "--out-prefix", str(tmp_path / "x_"), "--mode", "dense"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "4096 pixels" in err
+    assert "--mode conv" in err
+
+
 def test_solve_requires_forward_time(translate_pair, tmp_path, capsys):
     src, _ = translate_pair
     rc = main(["solve", src, src, "--out-prefix", str(tmp_path / "x_")])

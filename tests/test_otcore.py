@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from otvelo import (
     normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
     transport_cost_rows, wasserstein_value,
 )
+from otvelo.otcore import _make_operator
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +61,48 @@ def test_required_truncation_radius():
 # ---------------------------------------------------------------------------
 # kernel application
 
+def nxn_kernel_apply(v, eps, g):
+    """The N x N reference: exp(-C / eps) @ v."""
+    return np.exp(-build_cost(g).entries / eps) @ v
+
+
 def test_kernel_delta_vector_conv_matches_dense():
     g = GridGeometry(8, 8, 250.0)
     for eps in (1e-2, 1e-3):
         v = np.zeros(g.n)
         v[27] = 1.0
+        ref = nxn_kernel_apply(v, eps, g)
         a = kernel_apply(v, KernelSpec(eps, "dense"), g)
         b = kernel_apply(v, KernelSpec(eps, "conv"), g)
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+        assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_kernel_random_vector_conv_matches_dense():
     g = GridGeometry(12, 9, 250.0)
     rng = np.random.default_rng(7)
     v = rng.uniform(0.0, 1.0, g.n)
+    ref = nxn_kernel_apply(v, 5e-3, g)
     a = kernel_apply(v, KernelSpec(5e-3, "dense"), g)
     b = kernel_apply(v, KernelSpec(5e-3, "conv"), g)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+    assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_dense_log_apply_matches_nxn_logsumexp():
+    # at eps 1e-3 the far weights of exp(-C / eps) underflow; in log space
+    # they must still count
+    g = GridGeometry(12, 9, 250.0)
+    rng = np.random.default_rng(8)
+    lv = rng.uniform(-30.0, 30.0, g.n)
+    for eps in (1e-3, 1.0):
+        a = -build_cost(g).entries / eps + lv[None, :]
+        m = a.max(axis=1)
+        ref = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+        got = _make_operator(KernelSpec(eps, "dense"), g).log_apply(lv)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_kernel_apply_validates_input():
@@ -342,6 +370,20 @@ def test_transport_cost_rows_conv_matches_dense(mass_field):
     gam = dense_coupling(pd, build_cost(g)).entries
     assert rows_d.sum() == pytest.approx((gam * build_cost(g).entries).sum(),
                                          rel=1e-10)
+
+
+def test_dense_solve_memory_stays_linear_in_pixels():
+    # the N x N kernel of this 64^2 pair alone would take 134 MB
+    src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    tracemalloc.start()
+    try:
+        pair = sinkhorn(p, q, KernelSpec(1e-2, "dense"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.converged
+    assert peak < 10e6
 
 
 def test_dense_mode_pixel_budget(mass_field):
