@@ -139,12 +139,20 @@ def strain(vel: VelocityField, geometry: GridGeometry, dt: float) -> StrainField
 
 
 def _principal(exx: np.ndarray, eyy: np.ndarray, exy: np.ndarray) -> np.ndarray:
-    mean = 0.5 * (exx + eyy)
-    radius = np.sqrt((0.5 * (exx - eyy)) ** 2 + exy ** 2)
-    lo = mean - radius
-    hi = mean + radius
+    # in place, so at most four N-length temporaries are alive at once
+    hi = exx + eyy
+    hi *= 0.5  # the mean
+    radius = exx - eyy
+    radius *= 0.5
+    np.square(radius, out=radius)
+    radius += np.square(exy)
+    np.sqrt(radius, out=radius)
+    lo = hi - radius
+    hi += radius
     # signed eigenvalue of larger magnitude; exact ties resolve positive
-    return np.where(np.abs(hi) >= np.abs(lo), hi, lo)
+    np.abs(hi, out=radius)
+    np.copyto(lo, hi, where=radius >= np.abs(lo))
+    return lo
 
 
 def principal_strain(field: StrainField, clip: float | None = None) -> np.ndarray:

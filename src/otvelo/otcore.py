@@ -34,6 +34,15 @@ caps the displacement the convolutional kernel can carry at r pixels, in
 linear and log-domain arithmetic alike: mass that must move farther never
 reaches the target marginal, and the solve stops at ``max_iter`` unconverged.
 
+Log-domain iterations apply xi to log-scalings with the same two band
+matrices: along each 1-D line the log values are shifted by their maximum m,
+and log(exp(lv - m) @ band) + m is one GEMM per axis (the separable form of
+the stabilized log-sum-exp of Schmitzer 2019, "Stabilized sparse scaling
+algorithms for entropy regularized transport problems").  Where a line's
+log-scalings spread so far that a shifted sum underflows or goes denormal,
+that entry is recomputed as an exact log-sum-exp over its 2r + 1 band
+offsets, so the result does not depend on how far the scalings spread.
+
 Derived quantities (cost rows, barycentric map, marginals) are all sums
 u * xi(w * f) over the coupling; they are formed through the same kernel
 operator and in the same arithmetic as the solve that produced u and w.
@@ -54,6 +63,9 @@ DEFAULT_MAX_ITER = 1000
 
 # exp(-x) <= 1e-16 once x >= 16 ln 10
 _TRUNCATION_EXPONENT = 16.0 * math.log(10.0)
+# a max-shifted kernel sum below this may have lost digits to underflow;
+# above it, the terms that underflowed (each < 1e-307) do not matter
+_UNDERFLOW_SUM = 1e-280
 
 
 class ScaleError(ValueError):
@@ -178,28 +190,41 @@ class _SeparableOperator:
         grid = v.reshape(self.shape)
         return (self.band_y @ grid @ self.band_x).reshape(-1)
 
-    def _log_weights(self, n: int) -> tuple[np.ndarray, int]:
-        r = min(self.radius, n - 1)
-        k = np.arange(-r, r + 1)
-        return -(k * self.pitch) ** 2 / self.epsilon, r
+    def _log_pass(self, grid: np.ndarray, band: np.ndarray) -> np.ndarray:
+        """log(band @ exp(grid)) down each column, as one max-shifted GEMM.
 
-    def _lse_pass(self, grid: np.ndarray, axis: int) -> np.ndarray:
-        n = grid.shape[axis]
-        log_w, r = self._log_weights(n)
-        out = np.full_like(grid, -np.inf)
-        for k in range(-r, r + 1):
-            lo_dst, hi_dst = max(0, k), n + min(0, k)
-            lo_src, hi_src = max(0, -k), n + min(0, -k)
-            if axis == 0:
-                dst, src = out[lo_dst:hi_dst, :], grid[lo_src:hi_src, :]
-            else:
-                dst, src = out[:, lo_dst:hi_dst], grid[:, lo_src:hi_src]
-            np.logaddexp(dst, src + log_w[k + r], out=dst)
-        return out
+        A shifted sum below _UNDERFLOW_SUM underflowed or went denormal, so
+        those entries are recomputed as an exact log-sum-exp over their
+        2r + 1 band offsets, padded with -inf at the edges.
+        """
+        top = grid.max(axis=0)
+        s = grid - top
+        np.exp(s, out=s)
+        s = band @ s
+        low = s < _UNDERFLOW_SUM
+        np.maximum(s, _UNDERFLOW_SUM, out=s)
+        np.log(s, out=s)
+        s += top
+        if low.any():
+            rows, cols = np.nonzero(low)
+            r = min(self.radius, grid.shape[0] - 1)
+            k = np.arange(2 * r + 1)
+            log_w = -((k - r) * self.pitch) ** 2 / self.epsilon
+            padded = np.pad(grid, ((r, r), (0, 0)), constant_values=-np.inf)
+            # about max(N, 2^16) window elements at once keep memory O(N)
+            step = 1 + max(grid.size, 1 << 16) // k.size
+            for lo in range(0, rows.size, step):
+                i, j = rows[lo:lo + step, None], cols[lo:lo + step, None]
+                win = padded[i + k, j] + log_w
+                m = win.max(axis=1, keepdims=True)
+                s[i, j] = np.log(np.exp(win - m).sum(axis=1, keepdims=True)) + m
+        return s
 
     def log_apply(self, lv: np.ndarray) -> np.ndarray:
-        grid = lv.reshape(self.shape)
-        return self._lse_pass(self._lse_pass(grid, axis=1), axis=0).reshape(-1)
+        """log(xi exp(lv)) through the band matrices of :meth:`apply`: rows
+        first (on the transposed grid), then columns."""
+        grid = self._log_pass(lv.reshape(self.shape).T, self.band_x)
+        return self._log_pass(grid.T, self.band_y).reshape(-1)
 
 
 def _make_operator(spec: KernelSpec, geometry: GridGeometry) -> _SeparableOperator:
@@ -252,9 +277,9 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     marginal is exact after every sweep.  Iteration stops once the L1
     target-marginal error ||w * xi^T u - q||_1 is at most ``tol``, or after
     ``max_iter`` sweeps; the check reuses the xi^T u the next sweep needs.
-    ``log_domain=True`` runs the same loop on log u, log w with logsumexp
-    kernel applications, which tolerates arbitrarily sharp mass ratios at
-    the price of speed.
+    ``log_domain=True`` runs the same loop on log u, log w with max-shifted
+    log-sum-exp kernel applications, which tolerate arbitrarily sharp mass
+    ratios; away from underflow they cost about as much as the linear ones.
 
     Raises StabilizationError if the scaling vectors overflow or underflow in
     linear mode.

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from otvelo import (
-    DENSE_MAX_PIXELS, GridGeometry, KernelSpec, NotConvergedError, ScaleError,
-    StabilizationError,
+    DENSE_MAX_PIXELS, GridGeometry, IntensityRaster, KernelSpec,
+    NotConvergedError, ScaleError, StabilizationError,
     build_cost, coupling_marginals, dense_coupling, kernel_apply, make_scenario,
     normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
     transport_cost_rows, wasserstein_value,
@@ -91,6 +91,19 @@ def test_kernel_random_vector_conv_matches_dense():
     assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def nxn_log_apply(lv, eps, g, radius=None):
+    """The N x N reference log(exp(-C / eps) @ exp(lv)) as one log-sum-exp;
+    weights more than ``radius`` px apart on either axis are dropped."""
+    a = -build_cost(g).entries / eps
+    if radius is not None:
+        x, y = np.arange(g.n) % g.width, np.arange(g.n) // g.width
+        a[(np.abs(x[:, None] - x[None, :]) > radius)
+          | (np.abs(y[:, None] - y[None, :]) > radius)] = -np.inf
+    a += lv[None, :]
+    m = a.max(axis=1)
+    return np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+
+
 def test_dense_log_apply_matches_nxn_logsumexp():
     # at eps 1e-3 the far weights of exp(-C / eps) underflow; in log space
     # they must still count
@@ -98,11 +111,24 @@ def test_dense_log_apply_matches_nxn_logsumexp():
     rng = np.random.default_rng(8)
     lv = rng.uniform(-30.0, 30.0, g.n)
     for eps in (1e-3, 1.0):
-        a = -build_cost(g).entries / eps + lv[None, :]
-        m = a.max(axis=1)
-        ref = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+        ref = nxn_log_apply(lv, eps, g)
         got = _make_operator(KernelSpec(eps, "dense"), g).log_apply(lv)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_log_apply_underflow_matches_nxn_logsumexp():
+    # log inputs spread this wide underflow exp(lv - max) on most lines, so
+    # many entries come from the exact band-window fallback
+    g = GridGeometry(12, 9, 250.0)
+    rng = np.random.default_rng(9)
+    for spread in (1e4, 1e5):
+        lv = rng.uniform(-spread, spread, g.n)
+        for eps in (1e-3, 1e-2, 1.0):
+            for mode, radius in (("dense", None),
+                                 ("conv", required_truncation_radius(eps, g))):
+                ref = nxn_log_apply(lv, eps, g, radius)
+                got = _make_operator(KernelSpec(eps, mode), g).log_apply(lv)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_kernel_apply_validates_input():
@@ -297,6 +323,34 @@ def test_log_domain_agrees_with_linear_mode(mass_field):
     assert wa == pytest.approx(wb, rel=1e-8)
     # one loop, one stopping rule
     assert a.iterations == b.iterations
+
+
+def test_log_domain_translate_solve_matches_linear():
+    src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    k = KernelSpec(1e-3, "conv")
+    a = sinkhorn(p, q, k, max_iter=5000)
+    b = sinkhorn(p, q, k, max_iter=5000, log_domain=True)
+    assert a.converged and b.converged
+    assert a.iterations == b.iterations
+    assert wasserstein_value(p, q, b) == pytest.approx(
+        wasserstein_value(p, q, a), rel=1e-12)
+
+
+def test_log_domain_corner_swap_solve():
+    # the scalings of this swap span far more than exp can hold, so most
+    # kernel sums take the exact fallback
+    g = GridGeometry(8, 8, 250.0)
+    a, b = np.zeros((8, 8)), np.zeros((8, 8))
+    a[0, 0] = b[7, 7] = 255.0
+    p = normalize_to_mass(IntensityRaster(g, a, 0.0))
+    q = normalize_to_mass(IntensityRaster(g, b, 86400.0))
+    pair = sinkhorn(p, q, KernelSpec(1e-5, "dense"), max_iter=5000,
+                    log_domain=True)
+    assert pair.converged
+    assert pair.iterations == 3825
+    assert wasserstein_value(p, q, pair) == pytest.approx(1.5312499873949856,
+                                                          rel=1e-12)
 
 
 def test_log_domain_conv_mode(mass_field):
