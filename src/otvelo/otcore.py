@@ -279,7 +279,8 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     ``max_iter`` sweeps; the check reuses the xi^T u the next sweep needs.
     ``log_domain=True`` runs the same loop on log u, log w with max-shifted
     log-sum-exp kernel applications, which tolerate arbitrarily sharp mass
-    ratios; away from underflow they cost about as much as the linear ones.
+    ratios; away from underflow they take about 1.2-1.5x the time of the
+    linear ones.
 
     Raises StabilizationError if the scaling vectors overflow or underflow in
     linear mode.
