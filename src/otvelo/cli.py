@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
                            log_domain=args.log_domain)
 
     summary = fields.transport_distance(p, pair, q=q, strict=False)
-    bmap = fields.barycentric_map(p, pair, strict=False)
+    bmap = summary.target
     vel = fields.velocity(bmap, g, dt)
     st = fields.strain(vel, g, dt)
     principal = (st.principal if args.principal_clip is None
@@ -200,8 +200,8 @@ def cmd_solve(args) -> int:
         if mode == "conv":
             radius = otcore.required_truncation_radius(args.eps, g)
             advice = (f"; the conv kernel reaches {radius} px, so ice moving "
-                      "farther needs a larger --eps, or --mode dense (up to "
-                      f"{otcore.DENSE_MAX_PIXELS} pixels)")
+                      "farther needs a larger --eps, or --mode dense, which "
+                      "keeps every kernel weight")
         print(f"warning: stopped at max_iter before reaching tol{advice}",
               file=sys.stderr)
         return 2

@@ -13,25 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .otcore import (ScalingPair, _require_converged, _scaled_apply,
-                     transport_cost_rows, wasserstein_value)
+                     wasserstein_value)
 from .raster import GridGeometry, MassField
 
 # Pixels whose mass is below this multiple of the per-pixel floor contribution
 # carry no image signal; their conditional averages are meaningless.
 LOW_MASS_FACTOR = 10.0
-
-
-@dataclass(frozen=True, eq=False)
-class TransportSummary:
-    """Scalar distance plus the per-pixel mean transport cost map.
-
-    ``cbar[i] = sum_j gamma_ij c_ij / p_i`` in normalized squared units,
-    NaN outside ``valid``.
-    """
-
-    w_eps: float
-    cbar: np.ndarray
-    valid: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +28,21 @@ class BarycentricMap:
     target_x: np.ndarray
     target_y: np.ndarray
     valid: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class TransportSummary:
+    """Scalar distance, the per-pixel mean transport cost map, and the
+    barycentric map formed from the same first moments of the coupling.
+
+    ``cbar[i] = sum_j gamma_ij c_ij / p_i`` in normalized squared units,
+    NaN outside ``valid``.
+    """
+
+    w_eps: float
+    cbar: np.ndarray
+    valid: np.ndarray
+    target: BarycentricMap
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +69,33 @@ def _valid_pixels(p: MassField) -> np.ndarray:
     return p.mask & (p.mass >= LOW_MASS_FACTOR * p.floor_mass)
 
 
+def _barycentric(p: MassField, kx: np.ndarray, ky: np.ndarray,
+                 valid: np.ndarray) -> BarycentricMap:
+    return BarycentricMap(np.where(valid, kx / p.mass, np.nan),
+                          np.where(valid, ky / p.mass, np.nan), valid)
+
+
 def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
                        strict: bool = True) -> TransportSummary:
-    """Regularized distance plus the per-pixel mean transport cost."""
-    rows = transport_cost_rows(p, pair, strict=strict)
-    cbar = np.maximum(rows, 0.0) / p.mass
+    """Regularized distance, per-pixel mean transport cost and barycentric map.
+
+    The cost of the mass leaving pixel i, sum_j gamma_ij c_ij, separates into
+
+        |x_i|^2 p_i - 2 x_i . (u * xi(w * x))_i + (u * xi(w * |x|^2))_i
+
+    so the three coupling moments u * xi(w * f), f = x, y, |x|^2, give the
+    cost map, and the first two give the barycentric map as well.  Pixel
+    centers are positive, so these fields have finite logs.
+    """
+    _require_converged(pair, "transport cost", strict)
+    x, y = p.geometry.pixel_centers()
+    sq = x * x + y * y
+    kx, ky, ks = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y, sq)
+    rows = sq * p.mass - 2.0 * (x * kx + y * ky) + ks
     valid = _valid_pixels(p)
-    cbar = np.where(valid, cbar, np.nan)
+    cbar = np.where(valid, np.maximum(rows, 0.0) / p.mass, np.nan)
     w_eps = wasserstein_value(p, q, pair, strict=strict)
-    return TransportSummary(w_eps, cbar, valid)
+    return TransportSummary(w_eps, cbar, valid, _barycentric(p, kx, ky, valid))
 
 
 def transport_speed(summary: TransportSummary, geometry: GridGeometry,
@@ -88,7 +108,8 @@ def transport_speed(summary: TransportSummary, geometry: GridGeometry,
 
 def barycentric_map(p: MassField, pair: ScalingPair,
                     strict: bool = True) -> BarycentricMap:
-    """Row-normalized mean target position  x_q = (u * xi(w * x)) / p.
+    """Row-normalized mean target position  x_q = (u * xi(w * x)) / p, the
+    same map :func:`transport_distance` returns as ``target``.
 
     Low-mass source pixels are NaN; their conditional distributions average
     background floor mass.  The p-weighted mean of the finite map equals the
@@ -97,10 +118,8 @@ def barycentric_map(p: MassField, pair: ScalingPair,
     """
     _require_converged(pair, "barycentric map", strict)
     x, y = p.geometry.pixel_centers()
-    tx, ty = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y)
-    valid = _valid_pixels(p)
-    return BarycentricMap(np.where(valid, tx / p.mass, np.nan),
-                          np.where(valid, ty / p.mass, np.nan), valid)
+    kx, ky = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y)
+    return _barycentric(p, kx, ky, _valid_pixels(p))
 
 
 def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> VelocityField:

@@ -13,6 +13,7 @@ from otvelo import (
     render_pair,
     save_raster,
 )
+from otvelo import otcore
 from otvelo.cli import build_parser, compare_features, main
 from otvelo.ncc import CSV_HEADER
 
@@ -114,17 +115,40 @@ def test_solve_geometry_mismatch_exits_1(translate_pair, tmp_path, capsys):
     assert "geometry mismatch" in capsys.readouterr().err
 
 
-def test_dense_mode_beyond_pixel_limit_advises_conv(tmp_path, capsys):
-    g = GridGeometry(65, 64, 250.0)  # 4160 > 4096 pixels
-    for name, t in (("a", 0.0), ("b", 86400.0)):
-        save_raster(IntensityRaster(g, np.full((64, 65), 200.0), t),
-                    tmp_path / f"{name}.pgm")
+def test_dense_mode_solves_sharp_pair_beyond_auto_cutoff(tmp_path):
+    # 128^2 = 16384 px, above the auto cutoff: the 20 px drift outreaches the
+    # 11 px conv kernel at this eps, while the exact dense kernel converges
+    src, tgt = render_pair(make_scenario("translate", size=128), 1.0)
+    save_raster(src, tmp_path / "a.pgm")
+    save_raster(tgt, tmp_path / "b.pgm")
+    prefix = str(tmp_path / "x_")
     rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
-               "--out-prefix", str(tmp_path / "x_"), "--mode", "dense"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "4096 pixels" in err
-    assert "--mode conv" in err
+               "--out-prefix", prefix, "--mode", "dense", "--eps", "2e-4"])
+    assert rc == 0
+    summary = json.loads(open(f"{prefix}summary.json").read())
+    assert summary["mode"] == "dense"
+    assert summary["converged"] is True
+
+
+@pytest.mark.parametrize("log_domain", [False, True])
+def test_solve_apply_budget(translate_pair, tmp_path, monkeypatch, log_domain):
+    # the solve takes 2 applies per sweep plus one to start; the fields take
+    # three coupling moments (x, y, |x|^2) and share them with the velocity
+    calls = []
+    for name in ("apply", "log_apply"):
+        original = getattr(otcore._SeparableOperator, name)
+
+        def counted(self, v, _original=original):
+            calls.append(1)
+            return _original(self, v)
+
+        monkeypatch.setattr(otcore._SeparableOperator, name, counted)
+    prefix = str(tmp_path / "n_")
+    rc = main(["solve", *translate_pair, "--out-prefix", prefix,
+               "--eps", "1e-2"] + (["--log-domain"] if log_domain else []))
+    assert rc == 0
+    summary = json.loads(open(f"{prefix}summary.json").read())
+    assert len(calls) == 2 * summary["iterations"] + 4
 
 
 def test_solve_requires_forward_time(translate_pair, tmp_path, capsys):
@@ -167,7 +191,8 @@ def test_solve_stabilization_failure_exits_3(tmp_path, capsys):
     rc = main(["solve", a, b, "--out-prefix", str(tmp_path / "x_"),
                "--eps", "1e-5"])
     assert rc == 3
-    assert "log" in capsys.readouterr().err  # points at the log-domain rescue
+    # points at the log-domain rescue, by its CLI flag
+    assert "--log-domain" in capsys.readouterr().err
 
 
 def test_solve_log_domain_rescues_sharp_pair(tmp_path):

@@ -6,11 +6,10 @@ import pytest
 from otvelo import (
     DENSE_MAX_PIXELS, GridGeometry, IntensityRaster, KernelSpec,
     NotConvergedError, ScaleError, StabilizationError,
-    build_cost, coupling_marginals, dense_coupling, kernel_apply, make_scenario,
-    normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
-    transport_cost_rows, wasserstein_value,
+    build_cost, kernel_apply, make_scenario, normalize_to_mass, render_pair,
+    required_truncation_radius, sinkhorn, transport_distance, wasserstein_value,
 )
-from otvelo.otcore import _make_operator
+from otvelo.otcore import _make_operator, _scaled_apply, resolve_mode
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +63,23 @@ def test_required_truncation_radius():
 def nxn_kernel_apply(v, eps, g):
     """The N x N reference: exp(-C / eps) @ v."""
     return np.exp(-build_cost(g).entries / eps) @ v
+
+
+def dense_coupling(pair, cost):
+    """The N x N plan gamma = diag(u) xi diag(w) of a converged pair,
+    assembled in log space so log-domain scalings stay representable."""
+    assert pair.converged
+    return np.exp(pair.log_u[:, None] - cost.entries / pair.kernel.epsilon
+                  + pair.log_w[None, :])
+
+
+def coupling_marginals(p, pair):
+    """Row and column sums u * xi(w) and w * xi(u) of the plan (xi is
+    symmetric), through the solve's own kernel operator and arithmetic."""
+    ones = np.ones(p.geometry.n)
+    (row,) = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, ones)
+    (col,) = _scaled_apply(pair.log_w, pair.log_u, pair, p.geometry, ones)
+    return row, col
 
 
 def test_kernel_delta_vector_conv_matches_dense():
@@ -158,7 +174,7 @@ def test_identity_pair_converges_immediately(mass_field):
     assert pair.converged
     assert pair.residual <= 1e-6
     gam = dense_coupling(pair, build_cost(g))
-    assert np.allclose(gam.entries.sum(axis=1), p.mass, atol=1e-9)
+    assert np.allclose(gam.sum(axis=1), p.mass, atol=1e-9)
 
 
 def test_marginals_after_each_sweep(mass_field):
@@ -305,7 +321,7 @@ def test_sharp_swap_solved_in_log_domain(mass_field):
     assert pair.converged
     gam = dense_coupling(pair, build_cost(g))
     # essentially all mass crosses between the two pixels
-    assert gam.entries[0, 1] >= 0.99
+    assert gam[0, 1] >= 0.99
     w = wasserstein_value(p, q, pair)
     assert w == pytest.approx(0.25, rel=1e-2)
 
@@ -377,7 +393,7 @@ def test_dual_value_equals_regularized_primal(mass_field):
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     eps = 1e-2
     pair = sinkhorn(p, q, KernelSpec(eps, "dense"), tol=1e-13, max_iter=200000)
-    gam = dense_coupling(pair, c).entries
+    gam = dense_coupling(pair, c)
     primal = float((gam * c.entries).sum())
     neg_entropy = float((gam * np.log(gam)).sum())
     dual = wasserstein_value(p, q, pair)
@@ -390,7 +406,7 @@ def test_coupling_rows_and_cols(mass_field):
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     pair = sinkhorn(p, q, KernelSpec(1e-2, "dense"), tol=1e-12, max_iter=100000)
-    gam = dense_coupling(pair, build_cost(g)).entries
+    gam = dense_coupling(pair, build_cost(g))
     assert np.abs(gam.sum(axis=1) - p.mass).max() <= 1e-11
     assert np.abs(gam.sum(axis=0) - q.mass).max() <= 1e-11
     assert gam.min() > 0.0
@@ -403,7 +419,7 @@ def test_large_eps_coupling_approaches_product(mass_field):
     devs = []
     for eps in (0.25, 1.0, 10.0):
         pair = sinkhorn(p, p, KernelSpec(eps, "dense"), tol=1e-12, max_iter=100000)
-        gam = dense_coupling(pair, c).entries
+        gam = dense_coupling(pair, c)
         devs.append(np.abs(gam - np.outer(p.mass, p.mass)).max())
     # deviation from the independent coupling shrinks as entropy dominates
     assert devs[0] > devs[1] > devs[2]
@@ -417,11 +433,12 @@ def test_transport_cost_rows_conv_matches_dense(mass_field):
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     pd = sinkhorn(p, q, KernelSpec(1e-2, "dense"), tol=1e-10, max_iter=50000)
     pc = sinkhorn(p, q, KernelSpec(1e-2, "conv"), tol=1e-10, max_iter=50000)
-    rows_d = transport_cost_rows(p, pd)
-    rows_c = transport_cost_rows(p, pc)
+    # every pixel is valid here, so cbar * p recovers sum_j gamma_ij c_ij
+    rows_d = transport_distance(p, pd, q).cbar * p.mass
+    rows_c = transport_distance(p, pc, q).cbar * p.mass
     assert np.abs(rows_d - rows_c).max() <= 1e-6 * np.abs(rows_d).max()
     # row costs sum to the primal transport cost
-    gam = dense_coupling(pd, build_cost(g)).entries
+    gam = dense_coupling(pd, build_cost(g))
     assert rows_d.sum() == pytest.approx((gam * build_cost(g).entries).sum(),
                                          rel=1e-10)
 
@@ -440,10 +457,20 @@ def test_dense_solve_memory_stays_linear_in_pixels():
     assert peak < 10e6
 
 
-def test_dense_mode_pixel_budget(mass_field):
+def test_dense_mode_beyond_auto_cutoff_equals_conv(mass_field):
+    # auto switches to conv above DENSE_MAX_PIXELS, but dense mode itself has
+    # no pixel limit; at eps 0.1 the conv radius (125 px) spans this grid, so
+    # both modes keep every weight and take the same sweeps bit for bit
     assert DENSE_MAX_PIXELS == 4096
     g = GridGeometry(65, 64, 250.0)
+    assert resolve_mode("auto", g.n) == "conv"
+    assert required_truncation_radius(0.1, g) >= 64
     rng = np.random.default_rng(32)
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
-    with pytest.raises(ScaleError):
-        sinkhorn(p, p, KernelSpec(1e-2, "dense"))
+    q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
+    a = sinkhorn(p, q, KernelSpec(0.1, "dense"))
+    b = sinkhorn(p, q, KernelSpec(0.1, "conv"))
+    assert a.converged
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.log_u, b.log_u)
+    assert np.array_equal(a.log_w, b.log_w)
