@@ -27,7 +27,8 @@ def run():
     assert rc == 0
 
     # 2. dense deformation solve (exit code 0 = converged); the 20 px drift
-    #    needs about 210 scaling sweeps at this eps
+    #    needs about 45 over-relaxed scaling sweeps at this eps (about 210
+    #    plain ones)
     rc = main(["solve", f"{out}/pair_source.pgm", f"{out}/pair_target.pgm",
                "--out-prefix", f"{out}/ot_", "--eps", "1e-3",
                "--max-iter", "8000", "--vectors-csv", f"{out}/vectors.csv",

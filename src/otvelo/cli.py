@@ -171,6 +171,7 @@ def cmd_solve(args) -> int:
         "iterations": pair.iterations,
         "residual": pair.residual,
         "converged": pair.converged,
+        "omega": pair.omega,
         "eps": args.eps,
         "mode": mode,
         "dt_s": dt,

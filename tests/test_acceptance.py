@@ -109,7 +109,9 @@ def test_criterion_03_stopping_rule_and_iteration_cap(mass_field):
     assert fast.iterations < 1000
     assert fast.residual <= 1e-6
 
-    slow = sinkhorn(p, q, KernelSpec(1e-3, "dense"), tol=1e-6, max_iter=1000)
+    # over-relaxed sweeps converge at eps 1e-3 (649 sweeps); at 3e-4 the
+    # error is still 2.4e-5 at sweep 1000
+    slow = sinkhorn(p, q, KernelSpec(3e-4, "dense"), tol=1e-6, max_iter=1000)
     assert not slow.converged
     assert slow.iterations == 1000
     assert np.isfinite(slow.residual)

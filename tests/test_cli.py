@@ -115,12 +115,19 @@ def test_solve_geometry_mismatch_exits_1(translate_pair, tmp_path, capsys):
     assert "geometry mismatch" in capsys.readouterr().err
 
 
-def test_dense_mode_solves_sharp_pair_beyond_auto_cutoff(tmp_path):
+def test_dense_mode_solves_sharp_pair_beyond_auto_cutoff(tmp_path, capsys):
     # 128^2 = 16384 px, above the auto cutoff: the 20 px drift outreaches the
     # 11 px conv kernel at this eps, while the exact dense kernel converges
     src, tgt = render_pair(make_scenario("translate", size=128), 1.0)
     save_raster(src, tmp_path / "a.pgm")
     save_raster(tgt, tmp_path / "b.pgm")
+    # linear conv overflows; the advice names both rescues, and the one that
+    # keeps every kernel weight is the one that works here
+    rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+               "--out-prefix", str(tmp_path / "c_"), "--eps", "2e-4"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "--log-domain" in err and "--mode dense" in err
     prefix = str(tmp_path / "x_")
     rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
                "--out-prefix", prefix, "--mode", "dense", "--eps", "2e-4"])
@@ -149,6 +156,22 @@ def test_solve_apply_budget(translate_pair, tmp_path, monkeypatch, log_domain):
     assert rc == 0
     summary = json.loads(open(f"{prefix}summary.json").read())
     assert len(calls) == 2 * summary["iterations"] + 4
+
+
+def test_summary_reports_relaxation_factor(tmp_path):
+    # the 64^2 translate pair relaxes; an identity pair at eps 0.1 converges
+    # within the plain warm-up and never does
+    src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
+    save_raster(src, tmp_path / "a.pgm")
+    save_raster(tgt, tmp_path / "b.pgm")
+    a, b = str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
+    assert main(["solve", a, b, "--out-prefix", str(tmp_path / "t_")]) == 0
+    assert main(["solve", a, a, "--dt", "86400", "--eps", "0.1",
+                 "--out-prefix", str(tmp_path / "i_")]) == 0
+    relaxed = json.loads((tmp_path / "t_summary.json").read_text())
+    identity = json.loads((tmp_path / "i_summary.json").read_text())
+    assert relaxed["omega"] > 1.0
+    assert identity["omega"] == 1.0
 
 
 def test_solve_requires_forward_time(translate_pair, tmp_path, capsys):
