@@ -6,7 +6,7 @@ solve it, run the block-matching baseline, and score both against manually
 tracked feature points. Outputs land in a temporary directory that is printed
 (and kept) so you can poke at the rasters afterwards.
 
-Run:  python3 demos/full_pipeline_cli.py      (about 1 s)
+Run:  python3 demos/full_pipeline_cli.py      (about 0.15 s)
 """
 import json
 import tempfile

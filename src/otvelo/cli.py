@@ -136,10 +136,8 @@ def _load_pair(args) -> tuple[raster.IntensityRaster, raster.IntensityRaster, fl
 def cmd_solve(args) -> int:
     src, tgt, dt = _load_pair(args)
     g = src.geometry
-    if args.no_mask:
-        mask_src = np.ones(g.n, dtype=bool)
-        mask_tgt = np.ones(g.n, dtype=bool)
-    else:
+    mask_src = mask_tgt = None  # --no-mask: every pixel counts as ice
+    if not args.no_mask:
         mask_src = raster.apply_ice_mask(src, args.mask_threshold)
         mask_tgt = raster.apply_ice_mask(tgt, args.mask_threshold)
     if args.equalize:
@@ -250,16 +248,35 @@ def cmd_oracle(args) -> int:
 
 
 def _read_features(path: str) -> np.ndarray:
+    """Rows of src_x,src_y,tgt_x,tgt_y; only the first line may be a header."""
     rows = []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
+        reader = csv.reader(fh)
+        for record in reader:
             if not record or not record[0].strip():
                 continue
             try:
-                rows.append([float(c) for c in record[:4]])
+                values = [float(c) for c in record[:4]]
             except ValueError:
-                continue  # header line
+                if reader.line_num == 1:
+                    continue  # header line
+                values = []
+            if len(values) < 4:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: expected four numbers "
+                    f"src_x,src_y,tgt_x,tgt_y, got {','.join(record)!r}")
+            rows.append(values)
     return np.asarray(rows, dtype=float).reshape(-1, 4)
+
+
+def _error_summary(errors: list[float], excluded: list[int]) -> dict:
+    """Counts and median of per-feature absolute errors, None when empty."""
+    return {
+        "used": len(errors),
+        "excluded": excluded,
+        "median_defined": bool(errors),
+        "median_abs_error_m": float(np.median(errors)) if errors else None,
+    }
 
 
 def cmd_compare_features(args) -> int:
@@ -303,14 +320,8 @@ def compare_features(bundle: str, features_path: str,
             "ot_dx_m": pred[0], "ot_dy_m": pred[1],
             "abs_error_m": err,
         })
-    report = {
-        "count": int(len(feats)),
-        "used": len(errors),
-        "excluded": excluded,
-        "median_defined": bool(errors),
-        "median_abs_error_m": float(np.median(errors)) if errors else None,
-        "features": entries,
-    }
+    report = {"count": int(len(feats)), **_error_summary(errors, excluded),
+              "features": entries}
     if ncc_csv is not None:
         report["ncc"] = _score_ncc(ncc_csv, feats, pixel_size)
     return report
@@ -327,22 +338,15 @@ def _score_ncc(ncc_csv: str, feats: np.ndarray, pixel_size: float) -> dict:
             shifts.append((float(row["dx_px"]), float(row["dy_px"])))
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     shifts = np.asarray(shifts, dtype=float).reshape(-1, 2)
+    if len(centers) == 0:
+        return _error_summary([], list(range(len(feats))))
     errors = []
-    excluded = []
-    for idx, (sx, sy, tx, ty) in enumerate(feats):
-        if len(centers) == 0:
-            excluded.append(idx)
-            continue
+    for sx, sy, tx, ty in feats:
         near = int(np.argmin((centers[:, 0] - sx) ** 2 + (centers[:, 1] - sy) ** 2))
         manual = ((tx - sx) * pixel_size, (ty - sy) * pixel_size)
         pred = (shifts[near, 0] * pixel_size, shifts[near, 1] * pixel_size)
         errors.append(float(np.hypot(manual[0] - pred[0], manual[1] - pred[1])))
-    return {
-        "used": len(errors),
-        "excluded": excluded,
-        "median_defined": bool(errors),
-        "median_abs_error_m": float(np.median(errors)) if errors else None,
-    }
+    return _error_summary(errors, [])
 
 
 def main(argv: list[str] | None = None) -> int:

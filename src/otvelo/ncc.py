@@ -3,7 +3,8 @@
 The image is tiled into square windows; each source window is correlated
 against every integer shift of itself in the target within a search radius,
 and the best shift is kept when its correlation peak clears a threshold.
-Windows without intensity variance never match.
+Windows without intensity variance never match.  Each tile scores all its
+shifts in one ``einsum`` over a sliding-window view of the target, no copy.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .raster import IntensityRaster
 
@@ -62,39 +64,34 @@ def ncc_displacements(src: IntensityRaster, tgt: IntensityRaster,
     if not (0 < threshold <= 1):
         raise ValueError("threshold must lie in (0, 1]")
 
-    a_img = src.values
-    b_img = tgt.values
+    # One view holds every target window.  A window whose one-pass variance
+    # is below that formula's rounding floor is flat: it scores 0, which
+    # never clears the positive threshold.
+    n = window * window
+    wins = sliding_window_view(tgt.values, (window, window))
+    s1 = wins.sum(axis=(2, 3))
+    s2 = np.einsum("ijkl,ijkl->ij", wins, wins)
+    vb = s2 - s1 * s1 / n
+    rnorm = 1.0 / np.sqrt(np.where(vb > n * np.finfo(float).eps * s2, vb, np.inf))
+    half = (window - 1) / 2.0
     matches = []
     for ty in range(0, g.height - window + 1, stride):
         for tx in range(0, g.width - window + 1, stride):
-            a = a_img[ty:ty + window, tx:tx + window]
-            a0 = a - a.mean()
-            va = float((a0 * a0).sum())
-            if va == 0.0:
+            a = src.values[ty:ty + window, tx:tx + window]
+            if a.min() == a.max():
                 continue
-            best_corr = -np.inf
-            best = None
-            for dy in range(-search_radius, search_radius + 1):
-                sy = ty + dy
-                if sy < 0 or sy + window > g.height:
-                    continue
-                for dx in range(-search_radius, search_radius + 1):
-                    sx = tx + dx
-                    if sx < 0 or sx + window > g.width:
-                        continue
-                    b = b_img[sy:sy + window, sx:sx + window]
-                    b0 = b - b.mean()
-                    vb = float((b0 * b0).sum())
-                    if vb == 0.0:
-                        continue
-                    corr = float((a0 * b0).sum()) / np.sqrt(va * vb)
-                    if corr > best_corr:
-                        best_corr = corr
-                        best = (dx, dy)
-            if best is not None and best_corr >= threshold:
-                half = (window - 1) / 2.0
-                matches.append(NccMatch(tx + half, ty + half,
-                                        best[0], best[1], best_corr))
+            a0 = a - a.mean()
+            # the in-bounds shifts; sum(a0) = 0, so a0 . b is the centred term
+            y0, x0 = max(ty - search_radius, 0), max(tx - search_radius, 0)
+            rows = slice(y0, min(ty + search_radius, g.height - window) + 1)
+            cols = slice(x0, min(tx + search_radius, g.width - window) + 1)
+            corr = np.einsum("ijkl,kl->ij", wins[rows, cols], a0)
+            corr *= rnorm[rows, cols] / np.linalg.norm(a0)
+            # argmax keeps the first peak in row-major (dy, dx) order
+            iy, ix = np.unravel_index(np.argmax(corr), corr.shape)
+            if corr[iy, ix] >= threshold:
+                matches.append(NccMatch(tx + half, ty + half, int(x0 + ix - tx),
+                                        int(y0 + iy - ty), float(corr[iy, ix])))
     return matches
 
 

@@ -154,8 +154,25 @@ class MassField:
 # ---------------------------------------------------------------------------
 # PGM + sidecar I/O
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
+def _sidecar_path(path: Path, meta_path: str | Path | None) -> Path:
+    """``meta_path`` if given, else the data path with a ``.json`` suffix."""
+    return Path(meta_path) if meta_path is not None else path.with_suffix(".json")
+
+
+def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
+    """The sidecar's JSON object, checked to carry a number under each key."""
+    try:
+        meta = json.loads(meta_path.read_text())
+    except FileNotFoundError as exc:
+        raise MetadataError(f"missing sidecar {meta_path}") from exc
+    except json.JSONDecodeError as exc:
+        raise MetadataError(f"{meta_path}: invalid JSON") from exc
+    if not isinstance(meta, dict):
+        raise MetadataError(f"{meta_path}: expected a JSON object")
+    for key in keys:
+        if not isinstance(meta.get(key), (int, float)):
+            raise MetadataError(f"{meta_path}: missing or non-numeric '{key}'")
+    return meta
 
 
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
@@ -212,16 +229,8 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
         )
     values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(height, width)
 
-    meta_path = Path(meta_path) if meta_path is not None else _sidecar_path(path)
-    try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError as exc:
-        raise MetadataError(f"missing sidecar {meta_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise MetadataError(f"{meta_path}: invalid JSON") from exc
-    for key in ("pixel_size_m", "timestamp_s"):
-        if key not in meta or not isinstance(meta[key], (int, float)):
-            raise MetadataError(f"{meta_path}: missing or non-numeric '{key}'")
+    meta_path = _sidecar_path(path, meta_path)
+    meta = _read_sidecar(meta_path, ("pixel_size_m", "timestamp_s"))
     if not meta["pixel_size_m"] > 0:
         raise MetadataError(f"{meta_path}: pixel_size_m must be positive")
     geometry = GridGeometry(width, height, float(meta["pixel_size_m"]))
@@ -236,8 +245,7 @@ def save_raster(raster: IntensityRaster, path: str | Path,
     data = np.clip(np.rint(raster.values), 0, 255).astype(np.uint8)
     header = f"P5\n{g.width} {g.height}\n255\n".encode("ascii")
     path.write_bytes(header + data.tobytes())
-    meta_path = Path(meta_path) if meta_path is not None else _sidecar_path(path)
-    meta_path.write_text(json.dumps(
+    _sidecar_path(path, meta_path).write_text(json.dumps(
         {"pixel_size_m": g.pixel_size, "timestamp_s": raster.timestamp}) + "\n")
 
 
@@ -375,8 +383,7 @@ def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry,
     data = np.asarray(values, dtype=np.float64).reshape(geometry.height, geometry.width)
     data = np.where(np.isnan(data), NODATA, data).astype("<f4")
     path.write_bytes(data.tobytes(order="C"))
-    meta_path = Path(meta_path) if meta_path is not None else _sidecar_path(path)
-    meta_path.write_text(json.dumps({
+    _sidecar_path(path, meta_path).write_text(json.dumps({
         "width": geometry.width,
         "height": geometry.height,
         "dtype": "f32le",
@@ -387,11 +394,8 @@ def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry,
 def read_field(path: str | Path, meta_path: str | Path | None = None) -> tuple[np.ndarray, dict]:
     """Read a float32 raster written by :func:`write_field`; NODATA -> NaN."""
     path = Path(path)
-    meta_path = Path(meta_path) if meta_path is not None else _sidecar_path(path)
-    try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError as exc:
-        raise MetadataError(f"missing sidecar {meta_path}") from exc
+    meta_path = _sidecar_path(path, meta_path)
+    meta = _read_sidecar(meta_path, ("width", "height"))
     if meta.get("dtype") != "f32le":
         raise MetadataError(f"{meta_path}: unsupported dtype {meta.get('dtype')!r}")
     width, height = int(meta["width"]), int(meta["height"])

@@ -363,6 +363,21 @@ def test_compare_features_empty_is_well_defined(solved, tmp_path, capsys):
     assert report["median_abs_error_m"] is None
 
 
+@pytest.mark.parametrize("body, line", [
+    ("1,2,3\n4,5,6\n7,8,9\n10,11,12\n", 1),  # three values per row
+    ("src_x,src_y,tgt_x,tgt_y\n1,2,6,2\n5,6,oops,8\n", 3),
+    ("src_x,src_y,tgt_x,tgt_y\nsrc_x,src_y,tgt_x,tgt_y\n", 2),
+], ids=["three_values", "non_numeric", "second_header"])
+def test_compare_features_rejects_malformed_rows(solved, tmp_path, capsys,
+                                                 body, line):
+    prefix, _ = solved
+    feats = tmp_path / "features.csv"
+    feats.write_text(body)
+    rc = main(["compare-features", "--bundle", prefix, "--features", str(feats)])
+    assert rc == 1
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def test_compare_features_scores_ncc_too(solved, translate_pair, tmp_path):
     prefix, _ = solved
     out = str(tmp_path / "ncc.csv")

@@ -49,6 +49,18 @@ def test_zero_variance_windows_skipped():
         assert np.isfinite(m.correlation)
 
 
+@pytest.mark.filterwarnings("error")
+def test_flat_target_never_matches():
+    # every window of a constant 37.77 target is flat, though its one-pass
+    # variance rounds to a small positive number
+    rng = np.random.default_rng(8)
+    g = GridGeometry(40, 40, 250.0)
+    src = IntensityRaster(g, rng.uniform(0.0, 255.0, (40, 40)), 0.0)
+    tgt = IntensityRaster(g, np.full((40, 40), 37.77), 86400.0)
+    assert ncc_displacements(src, tgt, window=8, search_radius=3,
+                             threshold=1e-12) == []
+
+
 def test_affine_intensity_invariance():
     rng = np.random.default_rng(7)
     base = rng.uniform(10.0, 100.0, (40, 40))
@@ -112,3 +124,89 @@ def test_csv_output(tmp_path):
     assert float(first[2]) == matches[0].dx
     # m/s columns are px * pixel_size / dt
     assert float(first[4]) == pytest.approx(matches[0].dx * 250.0 / 86400.0)
+
+
+def reference_matches(src, tgt, window, search_radius, threshold, stride):
+    """Brute-force ZNCC: np.corrcoef at every in-bounds shift, flat windows
+    skipped, the first peak in row-major (dy, dx) order kept."""
+    a_img, b_img = src.values, tgt.values
+    height, width = a_img.shape
+    half = (window - 1) / 2.0
+    out = []
+    for ty in range(0, height - window + 1, stride):
+        for tx in range(0, width - window + 1, stride):
+            a = a_img[ty:ty + window, tx:tx + window]
+            if np.ptp(a) == 0:
+                continue
+            best = None
+            for dy in range(-search_radius, search_radius + 1):
+                for dx in range(-search_radius, search_radius + 1):
+                    sy, sx = ty + dy, tx + dx
+                    if not (0 <= sy <= height - window and 0 <= sx <= width - window):
+                        continue
+                    b = b_img[sy:sy + window, sx:sx + window]
+                    if np.ptp(b) == 0:
+                        continue
+                    corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+                    if best is None or corr > best[0]:
+                        best = (corr, dx, dy)
+            if best is not None and best[0] >= threshold:
+                out.append((tx + half, ty + half, best[1], best[2], best[0]))
+    return out
+
+
+def assert_matches_reference(src, tgt, **kwargs):
+    got = ncc_displacements(src, tgt, **kwargs)
+    want = reference_matches(src, tgt, **kwargs)
+    assert want
+    assert [(m.center_x, m.center_y, m.dx, m.dy) for m in got] == \
+        [w[:4] for w in want]
+    for m, w in zip(got, want):
+        assert abs(m.correlation - w[4]) <= 1e-12
+
+
+def noisy_pair(base, shift_rows, shift_cols, seed):
+    g = GridGeometry(base.shape[1], base.shape[0], 250.0)
+    moved = np.roll(base, (shift_rows, shift_cols), (0, 1))
+    noise = np.random.default_rng(seed).normal(0.0, 8.0, base.shape)
+    return (IntensityRaster(g, base, 0.0),
+            IntensityRaster(g, np.clip(moved + noise, 0.0, 255.0), 86400.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_matches_reference_on_continuous_texture(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 255.0, (36, 44))
+    src, tgt = noisy_pair(base, 2, -3, seed)
+    assert_matches_reference(src, tgt, window=10, search_radius=4,
+                             threshold=0.01, stride=10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("background", [0.0, 100.1])
+def test_matches_reference_on_binary_blocks(background):
+    # random 0/255 blocks on a flat background: flat tiles and flat target
+    # windows both occur, and must score without a 0/0; at 100.1 their
+    # sums round, so a flat window's one-pass variance is not exactly 0.
+    # Binary windows can tie exactly, and rounding may then pick either
+    # shift; with this seed every runner-up lies well below its peak.
+    rng = np.random.default_rng(32)
+    base = np.full((40, 40), background)
+    for y, x in ((4, 6), (20, 22), (26, 3)):
+        base[y:y + 10, x:x + 12] = 255.0 * (rng.random((10, 12)) < 0.5)
+    g = GridGeometry(40, 40, 250.0)
+    src = IntensityRaster(g, base, 0.0)
+    tgt = IntensityRaster(g, np.roll(base, (1, 3), (0, 1)), 86400.0)
+    assert_matches_reference(src, tgt, window=8, search_radius=4,
+                             threshold=0.25, stride=8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_matches_reference_with_overlapping_tiles_and_clipped_edges():
+    # stride < window, and a radius that clips the search of every edge tile
+    rng = np.random.default_rng(41)
+    base = rng.uniform(0.0, 255.0, (30, 34))
+    src, tgt = noisy_pair(base, -1, 2, 41)
+    assert_matches_reference(src, tgt, window=9, search_radius=7,
+                             threshold=0.01, stride=4)

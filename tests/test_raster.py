@@ -335,3 +335,24 @@ def test_field_read_errors(tmp_path):
     meta.write_text(json.dumps(doc))
     with pytest.raises(MetadataError):
         read_field(path)
+
+
+def test_field_sidecar_errors_name_the_sidecar(tmp_path):
+    g = GridGeometry(4, 4, 250.0)
+    path = tmp_path / "f.f32"
+    write_field(path, np.zeros(16), g)
+    meta = path.with_suffix(".json")
+    doc = json.loads(meta.read_text())
+    del doc["width"]
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(MetadataError, match="f.json: missing or non-numeric 'width'"):
+        read_field(path)
+    meta.write_text("{not json")
+    with pytest.raises(MetadataError, match="f.json: invalid JSON"):
+        read_field(path)
+    meta.write_text("[4, 4]")
+    with pytest.raises(MetadataError, match="f.json: expected a JSON object"):
+        read_field(path)
+    meta.unlink()
+    with pytest.raises(MetadataError, match="missing sidecar .*f.json"):
+        read_field(path)
