@@ -10,8 +10,8 @@ Run:  python3 demos/sinkhorn_vs_exact.py
 import numpy as np
 
 from otvelo import (
-    GridGeometry, KernelSpec, MassField, build_cost, exact_wasserstein,
-    sinkhorn, wasserstein_value,
+    GridGeometry, KernelSpec, MassField, exact_wasserstein, sinkhorn,
+    wasserstein_value,
 )
 
 
@@ -23,7 +23,6 @@ def random_field(geometry, rng):
 
 def run():
     g = GridGeometry(4, 4, 250.0)
-    cost = build_cost(g)
     rng = np.random.default_rng(20260814)
 
     print("exact optimum vs W_eps on random 4x4 pairs")
@@ -32,7 +31,7 @@ def run():
     for trial in range(5):
         p = random_field(g, rng)
         q = random_field(g, rng)
-        exact = exact_wasserstein(p, q, cost)
+        exact = exact_wasserstein(p, q)
         gaps = []
         for eps in (1e-1, 1e-2, 1e-3):
             pair = sinkhorn(p, q, KernelSpec(eps, "dense"), tol=1e-6,

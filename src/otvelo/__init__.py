@@ -12,12 +12,13 @@ from .raster import (
     normalize_to_mass, write_field, read_field, NODATA,
 )
 from .otcore import (
-    KernelSpec, CostMatrix, ScalingPair,
-    ScaleError, StabilizationError, NotConvergedError,
-    build_cost, required_truncation_radius, kernel_apply, sinkhorn,
+    KernelSpec, ScalingPair, StabilizationError, NotConvergedError,
+    required_truncation_radius, kernel_apply, sinkhorn,
     wasserstein_value, DENSE_MAX_PIXELS,
 )
-from .oracle import ExactPlan, BalanceError, exact_wasserstein, ORACLE_MAX_PIXELS
+from .oracle import (
+    ExactPlan, BalanceError, ScaleError, exact_wasserstein, ORACLE_MAX_PIXELS,
+)
 from .fields import (
     TransportSummary, BarycentricMap, VelocityField, StrainField,
     transport_distance, transport_speed, barycentric_map, velocity,
@@ -36,11 +37,11 @@ __all__ = [
     "FormatError", "TruncationError", "MetadataError", "DegenerateImageError",
     "load_raster", "save_raster", "apply_ice_mask", "equalize_contrast",
     "normalize_to_mass", "write_field", "read_field", "NODATA",
-    "KernelSpec", "CostMatrix", "ScalingPair",
-    "ScaleError", "StabilizationError", "NotConvergedError",
-    "build_cost", "required_truncation_radius", "kernel_apply", "sinkhorn",
+    "KernelSpec", "ScalingPair", "StabilizationError", "NotConvergedError",
+    "required_truncation_radius", "kernel_apply", "sinkhorn",
     "wasserstein_value", "DENSE_MAX_PIXELS",
-    "ExactPlan", "BalanceError", "exact_wasserstein", "ORACLE_MAX_PIXELS",
+    "ExactPlan", "BalanceError", "ScaleError", "exact_wasserstein",
+    "ORACLE_MAX_PIXELS",
     "TransportSummary", "BarycentricMap", "VelocityField", "StrainField",
     "transport_distance", "transport_speed", "barycentric_map", "velocity",
     "strain", "principal_strain",

@@ -24,8 +24,8 @@ from . import fields, ncc, oracle, otcore, raster, synth
 
 def _positive_float(text: str) -> float:
     val = float(text)
-    if not val > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (val > 0 and np.isfinite(val)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return val
 
 
@@ -41,11 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("target", help="target PGM image")
         sp.add_argument("--source-meta", help="sidecar JSON (default: source with .json)")
         sp.add_argument("--target-meta", help="sidecar JSON (default: target with .json)")
+
+    def add_timed_pair_args(sp):
+        add_pair_args(sp)
         sp.add_argument("--dt", type=_positive_float,
                         help="override the sidecar timestamp difference, seconds")
 
     sp = sub.add_parser("solve", help="run the transport pipeline on an image pair")
-    add_pair_args(sp)
+    add_timed_pair_args(sp)
     sp.add_argument("--out-prefix", required=True, help="prefix for output files")
     sp.add_argument("--eps", type=_positive_float, default=otcore.DEFAULT_EPS,
                     help="regularization strength in normalized units^2")
@@ -70,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("ncc", help="block-matching displacement baseline")
-    add_pair_args(sp)
+    add_timed_pair_args(sp)
     sp.add_argument("--out", required=True, help="output CSV")
     sp.add_argument("--window", type=int, default=ncc.DEFAULT_WINDOW)
     sp.add_argument("--search-radius", type=int)
@@ -102,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("oracle", help="exact transport distance (small grids)")
+    sp = sub.add_parser("oracle", help="exact transport distance (grids up to "
+                        f"{oracle.ORACLE_MAX_PIXELS} px; timestamps unused)")
     add_pair_args(sp)
     sp.add_argument("--floor", type=_positive_float, default=raster.DEFAULT_FLOOR)
     sp.set_defaults(func=cmd_oracle)
@@ -119,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pair(args) -> tuple[raster.IntensityRaster, raster.IntensityRaster, float]:
+def _load_pair(args) -> tuple[raster.IntensityRaster, raster.IntensityRaster]:
     src = raster.load_raster(args.source, args.source_meta)
     tgt = raster.load_raster(args.target, args.target_meta)
     if src.geometry != tgt.geometry:
@@ -127,14 +131,19 @@ def _load_pair(args) -> tuple[raster.IntensityRaster, raster.IntensityRaster, fl
             f"geometry mismatch: source {src.geometry.width}x{src.geometry.height}"
             f"@{src.geometry.pixel_size} vs target {tgt.geometry.width}x"
             f"{tgt.geometry.height}@{tgt.geometry.pixel_size}")
+    return src, tgt
+
+
+def _time_step(args, src: raster.IntensityRaster, tgt: raster.IntensityRaster) -> float:
     dt = args.dt if args.dt is not None else tgt.timestamp - src.timestamp
     if not dt > 0:
         raise ValueError("target must be later than source (or pass --dt)")
-    return src, tgt, dt
+    return dt
 
 
 def cmd_solve(args) -> int:
-    src, tgt, dt = _load_pair(args)
+    src, tgt = _load_pair(args)
+    dt = _time_step(args, src, tgt)
     g = src.geometry
     mask_src = mask_tgt = None  # --no-mask: every pixel counts as ice
     if not args.no_mask:
@@ -208,7 +217,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ncc(args) -> int:
-    src, tgt, dt = _load_pair(args)
+    src, tgt = _load_pair(args)
+    dt = _time_step(args, src, tgt)
     matches = ncc.ncc_displacements(src, tgt, window=args.window,
                                     search_radius=args.search_radius,
                                     threshold=args.threshold, stride=args.stride)
@@ -239,10 +249,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    src, tgt, _ = _load_pair(args)
+    src, tgt = _load_pair(args)
     p = raster.normalize_to_mass(src, args.floor)
     q = raster.normalize_to_mass(tgt, args.floor)
-    plan = oracle.exact_wasserstein(p, q, otcore.build_cost(src.geometry))
+    plan = oracle.exact_wasserstein(p, q)
     print(json.dumps({"value": plan.value, "iterations": plan.iterations}))
     return 0
 
@@ -269,14 +279,17 @@ def _read_features(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 4)
 
 
-def _error_summary(errors: list[float], excluded: list[int]) -> dict:
-    """Counts and median of per-feature absolute errors, None when empty."""
+def _score(manual: np.ndarray, pred: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Summary and used features' errors of predicted against manual (k, 2)
+    displacements in metres; a non-finite prediction excludes its feature."""
+    used = np.isfinite(pred).all(axis=1)
+    errors = np.hypot(*(manual - pred)[used].T)
     return {
-        "used": len(errors),
-        "excluded": excluded,
-        "median_defined": bool(errors),
-        "median_abs_error_m": float(np.median(errors)) if errors else None,
-    }
+        "used": int(used.sum()),
+        "excluded": np.flatnonzero(~used).tolist(),
+        "median_defined": bool(errors.size),
+        "median_abs_error_m": float(np.median(errors)) if errors.size else None,
+    }, errors
 
 
 def cmd_compare_features(args) -> int:
@@ -299,54 +312,50 @@ def compare_features(bundle: str, features_path: str,
     pixel_size = float(summary["pixel_size_m"])
     height, width = vx.shape
     feats = _read_features(features_path)
-
-    entries = []
-    excluded = []
-    errors = []
-    for idx, (sx, sy, tx, ty) in enumerate(feats):
-        ix, iy = int(round(sx)), int(round(sy))
-        if not (0 <= ix < width and 0 <= iy < height):
-            raise ValueError(f"feature {idx} at ({sx}, {sy}) lies outside the grid")
-        manual = ((tx - sx) * pixel_size, (ty - sy) * pixel_size)
-        pred = (vx[iy, ix] * dt, vy[iy, ix] * dt)
-        if not (np.isfinite(pred[0]) and np.isfinite(pred[1])):
-            excluded.append(idx)
-            continue
-        err = float(np.hypot(manual[0] - pred[0], manual[1] - pred[1]))
-        errors.append(err)
-        entries.append({
-            "index": idx,
-            "manual_dx_m": manual[0], "manual_dy_m": manual[1],
-            "ot_dx_m": pred[0], "ot_dy_m": pred[1],
-            "abs_error_m": err,
-        })
-    report = {"count": int(len(feats)), **_error_summary(errors, excluded),
-              "features": entries}
+    cols, rows = np.rint(feats[:, 0]), np.rint(feats[:, 1])
+    inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    if not inside.all():
+        idx = int(np.argmin(inside))
+        raise ValueError(f"feature {idx} at ({feats[idx, 0]}, {feats[idx, 1]}) "
+                         "lies outside the grid")
+    cols, rows = cols.astype(int), rows.astype(int)
+    manual = (feats[:, 2:4] - feats[:, 0:2]) * pixel_size
+    pred = np.column_stack([vx[rows, cols], vy[rows, cols]]) * dt
+    scores, errors = _score(manual, pred)
+    used = np.flatnonzero(np.isfinite(pred).all(axis=1))
+    entries = [{
+        "index": int(idx),
+        "manual_dx_m": float(manual[idx, 0]), "manual_dy_m": float(manual[idx, 1]),
+        "ot_dx_m": float(pred[idx, 0]), "ot_dy_m": float(pred[idx, 1]),
+        "abs_error_m": float(err),
+    } for idx, err in zip(used, errors)]
+    report = {"count": int(len(feats)), **scores, "features": entries}
     if ncc_csv is not None:
-        report["ncc"] = _score_ncc(ncc_csv, feats, pixel_size)
+        centers, shifts = _read_ncc(ncc_csv)
+        dist = ((centers[None, :, :] - feats[:, None, 0:2]) ** 2).sum(axis=2)
+        ncc_pred = (shifts[dist.argmin(axis=1)] * pixel_size if len(centers)
+                    else np.full_like(manual, np.nan))
+        report["ncc"] = _score(manual, ncc_pred)[0]
     return report
 
 
-def _score_ncc(ncc_csv: str, feats: np.ndarray, pixel_size: float) -> dict:
-    centers = []
-    shifts = []
-    with open(ncc_csv, newline="") as fh:
+def _read_ncc(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Window centers and pixel shifts, (k, 2) arrays, from an ``ncc`` CSV."""
+    columns = ("window_center_x", "window_center_y", "dx_px", "dy_px")
+    rows = []
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        if reader.fieldnames != ncc.CSV_HEADER.split(","):
+            raise ValueError(f"{path}: not an ncc output CSV; its first line "
+                             f"must be {ncc.CSV_HEADER}")
         for row in reader:
-            centers.append((float(row["window_center_x"]),
-                            float(row["window_center_y"])))
-            shifts.append((float(row["dx_px"]), float(row["dy_px"])))
-    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    shifts = np.asarray(shifts, dtype=float).reshape(-1, 2)
-    if len(centers) == 0:
-        return _error_summary([], list(range(len(feats))))
-    errors = []
-    for sx, sy, tx, ty in feats:
-        near = int(np.argmin((centers[:, 0] - sx) ** 2 + (centers[:, 1] - sy) ** 2))
-        manual = ((tx - sx) * pixel_size, (ty - sy) * pixel_size)
-        pred = (shifts[near, 0] * pixel_size, shifts[near, 1] * pixel_size)
-        errors.append(float(np.hypot(manual[0] - pred[0], manual[1] - pred[1])))
-    return _error_summary(errors, [])
+            try:
+                rows.append([float(row[c]) for c in columns])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"numbers in {', '.join(columns)}") from None
+    data = np.asarray(rows, dtype=float).reshape(-1, 4)
+    return data[:, 0:2], data[:, 2:4]
 
 
 def main(argv: list[str] | None = None) -> int:

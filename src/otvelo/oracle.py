@@ -17,14 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .otcore import CostMatrix, ScaleError
-from .raster import MassField
+from .raster import GridGeometry, MassField
 
 ORACLE_MAX_PIXELS = 256
 
 _ENTER_TOL = 1e-11
 _VERIFY_TOL = 1e-9
 _BALANCE_TOL = 1e-9
+
+
+class ScaleError(ValueError):
+    """The exact oracle was asked for more than ORACLE_MAX_PIXELS pixels."""
 
 
 class BalanceError(ValueError):
@@ -42,12 +45,13 @@ class ExactPlan:
     col_duals: np.ndarray
 
 
-def exact_wasserstein(p: MassField, q: MassField, cost: CostMatrix) -> ExactPlan:
-    """Exact transport distance between two mass fields.
+def exact_wasserstein(p: MassField, q: MassField) -> ExactPlan:
+    """Exact transport distance between two mass fields under the squared
+    Euclidean cost of :mod:`otvelo.otcore`.
 
     ``iterations`` counts simplex pivots.  Raises ScaleError beyond
-    ORACLE_MAX_PIXELS pixels and BalanceError when total masses differ by
-    more than 1e-9.
+    ORACLE_MAX_PIXELS pixels, before anything N x N is allocated, and
+    BalanceError when total masses differ by more than 1e-9.
     """
     if p.geometry != q.geometry:
         raise ValueError("source and target must share one grid geometry")
@@ -63,10 +67,20 @@ def exact_wasserstein(p: MassField, q: MassField, cost: CostMatrix) -> ExactPlan
             f"marginal totals differ by {abs(a.sum() - b.sum()):.3e} (> {_BALANCE_TOL})"
         )
     b *= a.sum() / b.sum()
-    plan, iterations, u, v = _transport_simplex(cost.entries, a, b)
-    value = float((plan * cost.entries).sum())
-    _verify(cost.entries, a, b, plan, u, v, value)
+    cost = _squared_distances(p.geometry)
+    plan, iterations, u, v = _transport_simplex(cost, a, b)
+    value = float((plan * cost).sum())
+    _verify(cost, a, b, plan, u, v, value)
     return ExactPlan(value, plan, iterations, u, v)
+
+
+def _squared_distances(geometry: GridGeometry) -> np.ndarray:
+    """N x N squared distances between pixel centers in normalized
+    coordinates: the ground cost the scaled solver never forms."""
+    x, y = geometry.pixel_centers()
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    return dx * dx + dy * dy
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):

@@ -61,6 +61,8 @@ import numpy as np
 
 from .raster import GridGeometry, MassField
 
+# sets only the ``auto`` cutoff (dense up to this many pixels); dense mode
+# itself has no pixel limit
 DENSE_MAX_PIXELS = 4096
 DEFAULT_EPS = 1e-3
 DEFAULT_TOL = 1e-6
@@ -81,11 +83,6 @@ _RATIO_FROM = 3
 _FLAT = 1.0 - 1e-9
 _OMEGA_MAX = 1.9
 _PATIENCE = 50
-
-
-class ScaleError(ValueError):
-    """A dense N x N matrix was requested beyond its pixel limit: the cost
-    matrix beyond DENSE_MAX_PIXELS, or the exact oracle beyond its own."""
 
 
 class StabilizationError(FloatingPointError):
@@ -120,14 +117,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class CostMatrix:
-    """Dense pairwise squared-distance matrix in normalized coordinates."""
-
-    geometry: GridGeometry
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ScalingPair:
     """Sinkhorn output: scaling vectors (stored as logs) plus diagnostics.
 
@@ -150,23 +139,6 @@ class ScalingPair:
     residual_history: np.ndarray
     log_domain: bool
     omega: float
-
-
-def build_cost(geometry: GridGeometry) -> CostMatrix:
-    """Dense squared-Euclidean cost between all pixel-center pairs.
-
-    Only available up to DENSE_MAX_PIXELS pixels; larger grids must use the
-    convolutional kernel, which never forms this matrix.
-    """
-    if geometry.n > DENSE_MAX_PIXELS:
-        raise ScaleError(
-            f"dense cost needs {geometry.n} x {geometry.n} entries; "
-            f"limit is {DENSE_MAX_PIXELS} pixels, use convolutional mode"
-        )
-    x, y = geometry.pixel_centers()
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    return CostMatrix(geometry, dx * dx + dy * dy)
 
 
 def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
@@ -366,8 +338,8 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     """
     if p.geometry != q.geometry:
         raise ValueError("source and target must share one grid geometry")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     op = _make_operator(kernel, p.geometry)

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,19 +246,62 @@ def test_conv_unconverged_warning_names_kernel_radius(tmp_path, capsys):
     assert "--eps" in err
 
 
-def test_oracle_cli_reports_exact_value(tmp_path, capsys):
-    g = GridGeometry(8, 8, 250.0)
-    a = np.zeros((8, 8))
-    b = np.zeros((8, 8))
-    a[3:5, 2:4] = 200.0
-    b[3:5, 3:5] = 200.0  # one-pixel shift to the right
+def _shift_pair(tmp_path, size, t_target=86400.0):
+    """A block and the same block one pixel to the right on a size^2 grid."""
+    g = GridGeometry(size, size, 250.0)
+    a = np.zeros((size, size))
+    b = np.zeros((size, size))
+    mid = size // 2
+    a[mid - 1:mid + 1, mid - 2:mid] = 200.0
+    b[mid - 1:mid + 1, mid - 1:mid + 1] = 200.0
     save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
-    save_raster(IntensityRaster(g, b, 86400.0), tmp_path / "b.pgm")
-    rc = main(["oracle", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")])
+    save_raster(IntensityRaster(g, b, t_target), tmp_path / "b.pgm")
+    return str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
+
+
+def test_oracle_cli_reports_exact_value(tmp_path, capsys):
+    rc = main(["oracle", *_shift_pair(tmp_path, 8)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["value"] > 0
     assert report["iterations"] >= 1
+
+
+def test_oracle_cli_ignores_timestamps(tmp_path, capsys):
+    # the exact distance has no time in it: equal or reversed timestamps
+    # give the value of the ordered pair
+    assert main(["oracle", *_shift_pair(tmp_path, 8)]) == 0
+    ordered = json.loads(capsys.readouterr().out)
+    for t_target in (0.0, -86400.0):
+        assert main(["oracle", *_shift_pair(tmp_path, 8, t_target)]) == 0
+        assert json.loads(capsys.readouterr().out) == ordered
+
+
+def test_oracle_cli_refuses_large_grid_before_allocating(tmp_path, capsys):
+    # the 4096^2 cost of a 64^2 pair would take 134 MB per array
+    pair = _shift_pair(tmp_path, 64)
+    tracemalloc.start()
+    try:
+        rc = main(["oracle", *pair])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "256 pixels" in capsys.readouterr().err
+    assert peak < 50e6
+
+
+def test_oracle_cli_large_grid_advice_names_no_conv_mode(tmp_path, capsys):
+    assert main(["oracle", *_shift_pair(tmp_path, 128)]) == 1
+    err = capsys.readouterr().err
+    assert "256 pixels" in err
+    assert "conv" not in err
+
+
+def test_oracle_cli_has_no_dt_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *_shift_pair(tmp_path, 8), "--dt", "1"])
+    assert exc.value.code == 2
 
 
 def test_synth_cli_writes_loadable_pair(tmp_path):
@@ -394,6 +438,23 @@ def test_compare_features_scores_ncc_too(solved, translate_pair, tmp_path):
     assert report["ncc"]["median_abs_error_m"] >= 0
 
 
+@pytest.mark.parametrize("header, body, where", [
+    ("a,b,c", "1,2,3", ":"),
+    (CSV_HEADER, "8.0,8.0,x,0,0,0,0.95", ", line 2:"),
+], ids=["foreign_header", "non_numeric_cell"])
+def test_compare_features_rejects_malformed_ncc_csv(solved, tmp_path, capsys,
+                                                    header, body, where):
+    prefix, _ = solved
+    feats = tmp_path / "features.csv"
+    feats.write_text("src_x,src_y,tgt_x,tgt_y\n8,8,13,8\n")
+    bad = tmp_path / "bad_ncc.csv"
+    bad.write_text(f"{header}\n{body}\n")
+    rc = main(["compare-features", "--bundle", prefix, "--features", str(feats),
+               "--ncc-csv", str(bad)])
+    assert rc == 1
+    assert f"{bad}{where}" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing positionals and --out-prefix
@@ -409,3 +470,7 @@ def test_parser_rejects_nonpositive_numbers():
         parser.parse_args(["solve", "a", "b", "--out-prefix", "x_", "--eps", "0"])
     with pytest.raises(SystemExit):
         parser.parse_args(["solve", "a", "b", "--out-prefix", "x_", "--dt", "-1"])
+    # --tol inf would stop every solve after one sweep as "converged"
+    for option in ("--tol", "--eps", "--dt"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["solve", "a", "b", "--out-prefix", "x_", option, "inf"])

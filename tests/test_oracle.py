@@ -6,8 +6,9 @@ from scipy.optimize import linprog
 
 from otvelo import (
     BalanceError, GridGeometry, KernelSpec, MassField, ORACLE_MAX_PIXELS,
-    ScaleError, build_cost, exact_wasserstein, sinkhorn, wasserstein_value,
+    ScaleError, exact_wasserstein, sinkhorn, wasserstein_value,
 )
+from otvelo.oracle import _squared_distances
 
 
 def brute_force_value(cost, a, b):
@@ -68,7 +69,7 @@ def test_identity_is_zero_with_diagonal_plan():
     g = GridGeometry(3, 3, 250.0)
     rng = np.random.default_rng(1)
     p = field(g, rng.uniform(0.5, 1.5, g.n))
-    plan = exact_wasserstein(p, p, build_cost(g))
+    plan = exact_wasserstein(p, p)
     assert plan.value == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(np.diag(plan.plan), p.mass, atol=1e-12)
     off = plan.plan - np.diag(np.diag(plan.plan))
@@ -79,32 +80,32 @@ def test_pure_swap_two_pixels():
     g = GridGeometry(2, 1, 250.0)
     p = MassField(g, np.array([1.0 - 1e-12, 1e-12]), np.ones(2, bool), 1e-13)
     q = MassField(g, np.array([1e-12, 1.0 - 1e-12]), np.ones(2, bool), 1e-13)
-    plan = exact_wasserstein(p, q, build_cost(g))
+    plan = exact_wasserstein(p, q)
     assert plan.value == pytest.approx(0.25, rel=1e-9)
     assert plan.plan[0, 1] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_matches_brute_force_enumeration():
     g = GridGeometry(2, 2, 250.0)
-    cost = build_cost(g)
+    cost = _squared_distances(g)
     rng = np.random.default_rng(20260814)
     for _ in range(6):
         p = field(g, rng.uniform(0.1, 1.0, g.n))
         q = field(g, rng.uniform(0.1, 1.0, g.n))
-        plan = exact_wasserstein(p, q, cost)
-        ref = brute_force_value(cost.entries, p.mass, q.mass)
+        plan = exact_wasserstein(p, q)
+        ref = brute_force_value(cost, p.mass, q.mass)
         assert plan.value == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def test_matches_independent_lp_solver():
     g = GridGeometry(3, 3, 250.0)
-    cost = build_cost(g)
+    cost = _squared_distances(g)
     rng = np.random.default_rng(77)
     for _ in range(5):
         p = field(g, rng.uniform(0.1, 1.0, g.n))
         q = field(g, rng.uniform(0.1, 1.0, g.n))
-        plan = exact_wasserstein(p, q, cost)
-        ref = linprog_value(cost.entries, p.mass, q.mass)
+        plan = exact_wasserstein(p, q)
+        ref = linprog_value(cost, p.mass, q.mass)
         assert plan.value == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
@@ -113,46 +114,44 @@ def test_frozen_translation_value():
     g = GridGeometry(4, 1, 250.0)
     p = field(g, [1.0, 1.0, 1.0, 1e-9])
     q = field(g, [1e-9, 1.0, 1.0, 1.0])
-    plan = exact_wasserstein(p, q, build_cost(g))
+    plan = exact_wasserstein(p, q)
     # three chunks of mass 1/3 each move one pitch: 3 * (1/3) * 0.25^2
     assert plan.value == pytest.approx(0.0625, rel=1e-6)
 
 
 def test_plan_marginals_and_duals():
     g = GridGeometry(3, 2, 250.0)
-    cost = build_cost(g)
+    cost = _squared_distances(g)
     rng = np.random.default_rng(5)
     p = field(g, rng.uniform(0.1, 1.0, g.n))
     q = field(g, rng.uniform(0.1, 1.0, g.n))
-    plan = exact_wasserstein(p, q, cost)
+    plan = exact_wasserstein(p, q)
     assert np.abs(plan.plan.sum(axis=1) - p.mass).max() <= 1e-12
     assert np.abs(plan.plan.sum(axis=0) - q.mass).max() <= 1e-12
     # dual feasibility and strong duality certify optimality
     spread = plan.row_duals[:, None] + plan.col_duals[None, :]
-    assert (cost.entries - spread).min() >= -1e-9
+    assert (cost - spread).min() >= -1e-9
     dual_value = plan.row_duals @ p.mass + plan.col_duals @ q.mass
     assert dual_value == pytest.approx(plan.value, abs=1e-9)
 
 
 def test_permutation_of_labels_preserves_value():
     g = GridGeometry(2, 2, 250.0)
-    cost = build_cost(g)
     rng = np.random.default_rng(9)
     p = field(g, rng.uniform(0.1, 1.0, g.n))
     q = field(g, rng.uniform(0.1, 1.0, g.n))
-    fwd = exact_wasserstein(p, q, cost)
-    rev = exact_wasserstein(q, p, cost)
+    fwd = exact_wasserstein(p, q)
+    rev = exact_wasserstein(q, p)
     assert fwd.value == pytest.approx(rev.value, rel=1e-12)
     assert np.allclose(fwd.plan, rev.plan.T, atol=1e-12)
 
 
 def test_entropic_gap_shrinks_with_eps():
     g = GridGeometry(4, 4, 250.0)
-    cost = build_cost(g)
     rng = np.random.default_rng(13)
     p = field(g, rng.uniform(0.1, 1.0, g.n))
     q = field(g, rng.uniform(0.1, 1.0, g.n))
-    exact = exact_wasserstein(p, q, cost)
+    exact = exact_wasserstein(p, q)
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
         pair = sinkhorn(p, q, KernelSpec(eps, "dense"), tol=1e-10, max_iter=100000)
@@ -162,17 +161,16 @@ def test_entropic_gap_shrinks_with_eps():
 
 def test_balance_and_scale_errors():
     g = GridGeometry(2, 1, 250.0)
-    cost = build_cost(g)
     p = MassField(g, np.array([0.5, 0.5]), np.ones(2, bool), 1e-10)
     q = MassField(g, np.array([0.5, 0.5 + 5e-9]) / (1.0 + 5e-9),
                   np.ones(2, bool), 1e-10)
     # same geometry, same unit sum: balanced by construction, so no error
-    exact_wasserstein(p, q, cost)
+    exact_wasserstein(p, q)
 
     big = GridGeometry(17, 17, 250.0)  # 289 > 256
     pb = field(big, np.ones(big.n))
     with pytest.raises(ScaleError):
-        exact_wasserstein(pb, pb, None)
+        exact_wasserstein(pb, pb)
     assert ORACLE_MAX_PIXELS == 256
 
 
@@ -183,4 +181,4 @@ def test_unbalanced_marginals_rejected():
     q = field(g, [0.7, 0.3])
     object.__setattr__(q, "mass", q.mass * 1.01)
     with pytest.raises(BalanceError):
-        exact_wasserstein(p, q, build_cost(g))
+        exact_wasserstein(p, q)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,21 +6,22 @@ import pytest
 
 from otvelo import (
     DENSE_MAX_PIXELS, GridGeometry, IntensityRaster, KernelSpec,
-    NotConvergedError, ScaleError, StabilizationError,
-    build_cost, kernel_apply, make_scenario, normalize_to_mass, render_pair,
-    required_truncation_radius, sinkhorn, transport_distance, wasserstein_value,
+    NotConvergedError, StabilizationError, kernel_apply, make_scenario,
+    normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
+    transport_distance, wasserstein_value,
 )
+from otvelo.oracle import _squared_distances
 from otvelo.otcore import (
     _PATIENCE, _WARMUP, _make_operator, _scaled_apply, resolve_mode,
 )
 
 
 # ---------------------------------------------------------------------------
-# cost matrix
+# N x N cost of the exact oracle, the reference for the kernel tests below
 
 def test_cost_two_pixel_grid():
     g = GridGeometry(2, 1, 250.0)
-    c = build_cost(g).entries
+    c = _squared_distances(g)
     assert c[0, 0] == 0.0 and c[1, 1] == 0.0
     # centers 0.25 and 0.75 -> squared distance 0.25
     assert c[0, 1] == pytest.approx(0.25)
@@ -28,7 +30,7 @@ def test_cost_two_pixel_grid():
 
 def test_cost_two_by_two_grid():
     g = GridGeometry(2, 2, 250.0)
-    c = build_cost(g).entries
+    c = _squared_distances(g)
     assert np.allclose(np.diag(c), 0.0)
     assert c[0, 1] == pytest.approx(0.25)  # adjacent
     assert c[0, 2] == pytest.approx(0.25)
@@ -37,16 +39,9 @@ def test_cost_two_by_two_grid():
 
 
 def test_cost_is_pixel_size_invariant():
-    a = build_cost(GridGeometry(5, 4, 250.0)).entries
-    b = build_cost(GridGeometry(5, 4, 1.0)).entries
+    a = _squared_distances(GridGeometry(5, 4, 250.0))
+    b = _squared_distances(GridGeometry(5, 4, 1.0))
     assert np.array_equal(a, b)
-
-
-def test_cost_refuses_large_grids():
-    g = GridGeometry(65, 64, 250.0)  # 4160 > 4096
-    with pytest.raises(ScaleError) as err:
-        build_cost(g)
-    assert "conv" in str(err.value)
 
 
 def test_required_truncation_radius():
@@ -64,14 +59,14 @@ def test_required_truncation_radius():
 
 def nxn_kernel_apply(v, eps, g):
     """The N x N reference: exp(-C / eps) @ v."""
-    return np.exp(-build_cost(g).entries / eps) @ v
+    return np.exp(-_squared_distances(g) / eps) @ v
 
 
 def dense_coupling(pair, cost):
     """The N x N plan gamma = diag(u) xi diag(w) of a converged pair,
     assembled in log space so log-domain scalings stay representable."""
     assert pair.converged
-    return np.exp(pair.log_u[:, None] - cost.entries / pair.kernel.epsilon
+    return np.exp(pair.log_u[:, None] - cost / pair.kernel.epsilon
                   + pair.log_w[None, :])
 
 
@@ -112,7 +107,7 @@ def test_kernel_random_vector_conv_matches_dense():
 def nxn_log_apply(lv, eps, g, radius=None):
     """The N x N reference log(exp(-C / eps) @ exp(lv)) as one log-sum-exp;
     weights more than ``radius`` px apart on either axis are dropped."""
-    a = -build_cost(g).entries / eps
+    a = -_squared_distances(g) / eps
     if radius is not None:
         x, y = np.arange(g.n) % g.width, np.arange(g.n) // g.width
         a[(np.abs(x[:, None] - x[None, :]) > radius)
@@ -175,7 +170,7 @@ def test_identity_pair_converges_immediately(mass_field):
     pair = sinkhorn(p, p, KernelSpec(1e-2, "dense"), tol=1e-6, max_iter=1000)
     assert pair.converged
     assert pair.residual <= 1e-6
-    gam = dense_coupling(pair, build_cost(g))
+    gam = dense_coupling(pair, _squared_distances(g))
     assert np.allclose(gam.sum(axis=1), p.mass, atol=1e-9)
 
 
@@ -299,6 +294,9 @@ def test_sinkhorn_argument_validation(mass_field):
         sinkhorn(p, p2, KernelSpec(1e-2, "dense"), tol=0.0)
     with pytest.raises(ValueError):
         sinkhorn(p, p2, KernelSpec(1e-2, "dense"), max_iter=0)
+    # any residual is <= inf: the solve would stop after one sweep as converged
+    with pytest.raises(ValueError, match="finite"):
+        sinkhorn(p, p2, KernelSpec(1e-2, "dense"), tol=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +321,7 @@ def test_sharp_swap_solved_in_log_domain(mass_field):
     pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), tol=1e-10,
                     max_iter=100000, log_domain=True)
     assert pair.converged
-    gam = dense_coupling(pair, build_cost(g))
+    gam = dense_coupling(pair, _squared_distances(g))
     # essentially all mass crosses between the two pixels
     assert gam[0, 1] >= 0.99
     w = wasserstein_value(p, q, pair)
@@ -461,14 +459,14 @@ def test_log_domain_conv_mode(mass_field):
 
 def test_dual_value_equals_regularized_primal(mass_field):
     g = GridGeometry(3, 3, 250.0)
-    c = build_cost(g)
+    c = _squared_distances(g)
     rng = np.random.default_rng(21)
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     eps = 1e-2
     pair = sinkhorn(p, q, KernelSpec(eps, "dense"), tol=1e-13, max_iter=200000)
     gam = dense_coupling(pair, c)
-    primal = float((gam * c.entries).sum())
+    primal = float((gam * c).sum())
     neg_entropy = float((gam * np.log(gam)).sum())
     dual = wasserstein_value(p, q, pair)
     assert dual == pytest.approx(primal + eps * neg_entropy, rel=1e-9)
@@ -480,7 +478,7 @@ def test_coupling_rows_and_cols(mass_field):
     p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
     pair = sinkhorn(p, q, KernelSpec(1e-2, "dense"), tol=1e-12, max_iter=100000)
-    gam = dense_coupling(pair, build_cost(g))
+    gam = dense_coupling(pair, _squared_distances(g))
     assert np.abs(gam.sum(axis=1) - p.mass).max() <= 1e-11
     assert np.abs(gam.sum(axis=0) - q.mass).max() <= 1e-11
     assert gam.min() > 0.0
@@ -488,7 +486,7 @@ def test_coupling_rows_and_cols(mass_field):
 
 def test_large_eps_coupling_approaches_product(mass_field):
     g = GridGeometry(2, 1, 250.0)
-    c = build_cost(g)
+    c = _squared_distances(g)
     p = mass_field(g, np.array([0.5, 0.5]))
     devs = []
     for eps in (0.25, 1.0, 10.0):
@@ -512,8 +510,8 @@ def test_transport_cost_rows_conv_matches_dense(mass_field):
     rows_c = transport_distance(p, pc, q).cbar * p.mass
     assert np.abs(rows_d - rows_c).max() <= 1e-6 * np.abs(rows_d).max()
     # row costs sum to the primal transport cost
-    gam = dense_coupling(pd, build_cost(g))
-    assert rows_d.sum() == pytest.approx((gam * build_cost(g).entries).sum(),
+    gam = dense_coupling(pd, _squared_distances(g))
+    assert rows_d.sum() == pytest.approx((gam * _squared_distances(g)).sum(),
                                          rel=1e-10)
 
 
