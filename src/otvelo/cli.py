@@ -6,8 +6,8 @@ motion curves), oracle (exact small-instance distance), compare-features
 (error report against manually tracked points).
 
 ``solve`` exit codes: 0 converged, 2 stopped at max_iter (outputs are still
-written and flagged in the summary), 3 numeric stabilization failure,
-1 anything else (bad inputs, geometry mismatch) with a message on stderr.
+written and flagged in the summary), 3 numeric stabilization failure (also
+``sweep``), 1 anything else (bad inputs, geometry mismatch); errors go to stderr.
 """
 from __future__ import annotations
 
@@ -29,6 +29,11 @@ def _positive_float(text: str) -> float:
     return val
 
 
+def _positive_int(text: str) -> int:
+    _positive_float(text)  # refuses 0, negatives and inf; int() refuses 1.5
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otvelo",
@@ -47,16 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dt", type=_positive_float,
                         help="override the sidecar timestamp difference, seconds")
 
+    def add_solver_args(sp):
+        sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL)
+        sp.add_argument("--max-iter", type=int, default=otcore.DEFAULT_MAX_ITER)
+        sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
+        sp.add_argument("--log-domain", action="store_true",
+                        help="log-space iterations for very sharp mass contrasts")
+
+    def add_scenario_args(sp):
+        sp.add_argument("--scenario", required=True, choices=synth.SCENARIO_KINDS)
+        sp.add_argument("--size", type=int, default=128)
+        sp.add_argument("--shape", choices=("polygon", "disc"), default="polygon")
+        sp.add_argument("--seed", type=int, default=7)
+
     sp = sub.add_parser("solve", help="run the transport pipeline on an image pair")
     add_timed_pair_args(sp)
     sp.add_argument("--out-prefix", required=True, help="prefix for output files")
     sp.add_argument("--eps", type=_positive_float, default=otcore.DEFAULT_EPS,
                     help="regularization strength in normalized units^2")
-    sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL)
-    sp.add_argument("--max-iter", type=int, default=otcore.DEFAULT_MAX_ITER)
-    sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
-    sp.add_argument("--log-domain", action="store_true",
-                    help="log-space iterations for very sharp mass contrasts")
+    add_solver_args(sp)
     sp.add_argument("--mask-threshold", type=float, default=raster.DEFAULT_MASK_THRESHOLD)
     sp.add_argument("--no-mask", action="store_true",
                     help="treat every pixel as ice in derived outputs")
@@ -68,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--principal-clip", type=_positive_float,
                     help="clip the principal strain raster to +/- this bound")
     sp.add_argument("--vectors-csv", help="also write thinned velocity vectors")
-    sp.add_argument("--thin", type=int, default=1,
+    sp.add_argument("--thin", type=_positive_int, default=1,
                     help="keep every k-th pixel in --vectors-csv")
     sp.set_defaults(func=cmd_solve)
 
@@ -82,27 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ncc)
 
     sp = sub.add_parser("synth", help="render a synthetic scene pair")
-    sp.add_argument("--scenario", required=True, choices=synth.SCENARIO_KINDS)
+    add_scenario_args(sp)
     sp.add_argument("--out-prefix", required=True)
-    sp.add_argument("--size", type=int, default=128)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--pixel-size", type=_positive_float, default=250.0)
-    sp.add_argument("--shape", choices=("polygon", "disc"), default="polygon")
-    sp.add_argument("--seed", type=int, default=7)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("sweep", help="W_eps(t) - W_eps(0) curves for a scenario")
-    sp.add_argument("--scenario", required=True, choices=synth.SCENARIO_KINDS)
+    add_scenario_args(sp)
     sp.add_argument("--out", required=True, help="output CSV")
     sp.add_argument("--eps", type=_positive_float, nargs="+",
                     default=[1e-3, 1e-2, 1e-1, 1.0])
     sp.add_argument("--t-steps", type=int, default=11)
-    sp.add_argument("--size", type=int, default=128)
-    sp.add_argument("--shape", choices=("polygon", "disc"), default="polygon")
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL)
-    sp.add_argument("--max-iter", type=int, default=otcore.DEFAULT_MAX_ITER)
-    sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
+    add_solver_args(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("oracle", help="exact transport distance (grids up to "
@@ -145,15 +151,15 @@ def cmd_solve(args) -> int:
     src, tgt = _load_pair(args)
     dt = _time_step(args, src, tgt)
     g = src.geometry
-    mask_src = mask_tgt = None  # --no-mask: every pixel counts as ice
-    if not args.no_mask:
-        mask_src = raster.apply_ice_mask(src, args.mask_threshold)
-        mask_tgt = raster.apply_ice_mask(tgt, args.mask_threshold)
-    if args.equalize:
-        src = raster.equalize_contrast(src, args.tile, args.clip_limit, mask_src)
-        tgt = raster.equalize_contrast(tgt, args.tile, args.clip_limit, mask_tgt)
-    p = raster.normalize_to_mass(src, args.floor, mask_src)
-    q = raster.normalize_to_mass(tgt, args.floor, mask_tgt)
+
+    def to_mass(image):
+        # --no-mask: every pixel counts as ice
+        mask = None if args.no_mask else raster.apply_ice_mask(image, args.mask_threshold)
+        if args.equalize:
+            image = raster.equalize_contrast(image, args.tile, args.clip_limit, mask)
+        return raster.normalize_to_mass(image, args.floor, mask)
+
+    p, q = to_mass(src), to_mass(tgt)
     mode = otcore.resolve_mode(args.mode, g.n)
     kernel = otcore.KernelSpec(args.eps, mode)
     pair = otcore.sinkhorn(p, q, kernel, tol=args.tol, max_iter=args.max_iter,
@@ -189,16 +195,12 @@ def cmd_solve(args) -> int:
     Path(f"{prefix}summary.json").write_text(json.dumps(report, indent=2) + "\n")
 
     if args.vectors_csv:
-        if args.thin < 1:
-            raise ValueError("--thin must be >= 1")
         keep = np.zeros((g.height, g.width), dtype=bool)
         keep[::args.thin, ::args.thin] = True
         keep = keep.reshape(-1) & bmap.valid & np.isfinite(vel.vx)
-        idx = np.flatnonzero(keep)
-        lines = ["x_px,y_px,vx_m_per_s,vy_m_per_s"]
-        for i in idx:
-            lines.append(f"{i % g.width},{i // g.width},"
-                         f"{vel.vx[i]:.9g},{vel.vy[i]:.9g}")
+        lines = ["x_px,y_px,vx_m_per_s,vy_m_per_s"] + [
+            f"{i % g.width},{i // g.width},{vel.vx[i]:.9g},{vel.vy[i]:.9g}"
+            for i in np.flatnonzero(keep)]
         Path(args.vectors_csv).write_text("\n".join(lines) + "\n")
 
     print(f"W_eps={summary.w_eps:.9g} iterations={pair.iterations} "
@@ -228,9 +230,8 @@ def cmd_ncc(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    scn = synth.make_scenario(args.scenario, size=args.size,
-                              pixel_size=args.pixel_size, shape=args.shape,
-                              seed=args.seed)
+    scn = synth.make_scenario(args.scenario, size=args.size, pixel_size=args.pixel_size,
+                              shape=args.shape, seed=args.seed)
     source, target = synth.render_pair(scn, args.t)
     raster.save_raster(source, f"{args.out_prefix}source.pgm")
     raster.save_raster(target, f"{args.out_prefix}target.pgm")
@@ -242,7 +243,8 @@ def cmd_sweep(args) -> int:
     scn = synth.make_scenario(args.scenario, size=args.size, shape=args.shape,
                               seed=args.seed)
     rows = synth.sweep(scn, args.eps, t_steps=args.t_steps, tol=args.tol,
-                       max_iter=args.max_iter, mode=args.mode)
+                       max_iter=args.max_iter, mode=args.mode,
+                       log_domain=args.log_domain)
     synth.sweep_to_csv(rows, args.out)
     print(f"{len(rows)} sweep points -> {args.out}")
     return 0

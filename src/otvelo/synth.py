@@ -173,9 +173,7 @@ def _split_by_fraction(poly: np.ndarray, axis: int, fraction: float):
 
 def _rasterize(polys: list[np.ndarray], size: int, intensity: float) -> np.ndarray:
     """Point-sample pixel centers against counterclockwise convex polygons."""
-    yy, xx = np.mgrid[0:size, 0:size]
-    px = xx + 0.5
-    py = yy + 0.5
+    py, px = np.mgrid[0:size, 0:size] + 0.5
     values = np.zeros((size, size))
     for poly in polys:
         if len(poly) < 3:
@@ -281,27 +279,26 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
           mode: str = "auto", log_domain: bool = False) -> list[SweepPoint]:
     """Distance-vs-motion curves W_eps(t) - W_eps(0) on a shared t grid.
 
-    Rows are ordered by (eps, t); each eps curve starts at exactly 0.  Solver
-    errors carry the offending (eps, t) in their message.
+    Each t frame is rendered once and serves every eps.  Rows are ordered by
+    (eps, t); each eps curve starts at exactly 0.  Solver errors carry the
+    offending (eps, t) in their message.
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
     resolved = resolve_mode(mode, scn.size * scn.size)
-    frame0 = render(scn, 0.0)
-    p0 = normalize_to_mass(frame0, floor)
     ts = np.linspace(0.0, 1.0, t_steps)
+    frames = [normalize_to_mass(render(scn, float(t)), floor) for t in ts]
     rows: list[SweepPoint] = []
     for eps in eps_list:
         kernel = KernelSpec(float(eps), resolved)
         w0 = None
-        for t in ts:
-            qt = normalize_to_mass(render(scn, float(t)), floor)
+        for t, qt in zip(ts, frames):
             try:
-                pair = sinkhorn(p0, qt, kernel, tol=tol, max_iter=max_iter,
+                pair = sinkhorn(frames[0], qt, kernel, tol=tol, max_iter=max_iter,
                                 log_domain=log_domain)
             except FloatingPointError as exc:
                 raise type(exc)(f"(eps={eps:g}, t={t:g}) {exc}") from exc
-            w = wasserstein_value(p0, qt, pair, strict=False)
+            w = wasserstein_value(frames[0], qt, pair, strict=False)
             if w0 is None:
                 w0 = w
             rows.append(SweepPoint(float(eps), float(t), w - w0,

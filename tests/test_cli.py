@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,93 @@ def test_solve_log_domain_rescues_sharp_pair(tmp_path):
     assert summary["converged"] is True
 
 
+def _gray_pair(tmp_path):
+    """A textured 12 px block on a gray background, 3 px to the right in the
+    target; the background (60) lies below the default ice threshold."""
+    g = GridGeometry(32, 32, 250.0)
+    block = np.random.default_rng(5).integers(130, 256, size=(12, 12))
+    a = np.full((32, 32), 60.0)
+    b = np.full((32, 32), 60.0)
+    a[10:22, 8:20] = block
+    b[10:22, 11:23] = block
+    save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
+    save_raster(IntensityRaster(g, b, 86400.0), tmp_path / "b.pgm")
+    return str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
+
+
+def test_solve_equalize_changes_the_mass(tmp_path):
+    pair = _gray_pair(tmp_path)
+    w = {}
+    for tag, extra in (("plain", []),
+                       ("eq", ["--equalize", "--tile", "8", "--clip-limit", "2"])):
+        prefix = str(tmp_path / f"{tag}_")
+        assert main(["solve", *pair, "--out-prefix", prefix, "--eps", "1e-2",
+                     *extra]) == 0
+        w[tag] = json.loads(open(f"{prefix}summary.json").read())["w_eps"]
+    assert np.isfinite(w["eq"]) and w["eq"] != w["plain"]
+
+
+def test_solve_no_mask_fills_background_pixels(tmp_path):
+    pair = _gray_pair(tmp_path)
+    vx = {}
+    for tag, extra in (("masked", []), ("all", ["--no-mask"])):
+        prefix = str(tmp_path / f"{tag}_")
+        assert main(["solve", *pair, "--out-prefix", prefix, "--eps", "1e-2",
+                     *extra]) == 0
+        vx[tag], _ = read_field(f"{prefix}vx.f32")
+    background = np.full((32, 32), True)
+    background[10:22, 8:20] = False
+    assert np.isnan(vx["masked"][background]).all()
+    assert np.isfinite(vx["all"][background]).all()
+
+
+def test_solve_principal_clip_bounds_the_raster(solved, translate_pair, tmp_path):
+    prefix, _ = solved
+    principal, _ = read_field(f"{prefix}principal.f32")
+    clip = float(np.float32(0.5 * np.nanmax(np.abs(principal))))
+    again = str(tmp_path / "clip_")
+    assert main(["solve", *translate_pair, "--out-prefix", again,
+                 "--eps", "1e-2", "--max-iter", "5000",
+                 "--principal-clip", repr(clip)]) == 0
+    clipped, _ = read_field(f"{again}principal.f32")
+    assert np.nanmax(np.abs(clipped)) == clip
+    unclipped = np.abs(principal) <= clip
+    assert np.array_equal(clipped[unclipped], principal[unclipped])
+
+
+def test_solve_reads_sidecars_at_given_paths(translate_pair, tmp_path):
+    # the images are copied without their sidecars, so only the given
+    # paths can supply the 2-day interval and the 500 m pixels
+    images = []
+    for name, path in zip("ab", translate_pair):
+        image = tmp_path / f"{name}.pgm"
+        image.write_bytes(open(path, "rb").read())
+        images.append(str(image))
+    metas = []
+    (tmp_path / "meta").mkdir()
+    for name, stamp in (("early", -86400.0), ("late", 86400.0)):
+        meta = tmp_path / "meta" / f"{name}.json"
+        meta.write_text(json.dumps({"pixel_size_m": 500.0, "timestamp_s": stamp}))
+        metas.append(str(meta))
+    prefix = str(tmp_path / "m_")
+    assert main(["solve", *images, "--out-prefix", prefix, "--eps", "1e-2",
+                 "--source-meta", metas[0], "--target-meta", metas[1]]) == 0
+    summary = json.loads(open(f"{prefix}summary.json").read())
+    assert summary["dt_s"] == 2 * 86400.0
+    assert summary["pixel_size_m"] == 500.0
+
+
+def test_solve_thin_below_one_is_a_usage_error(translate_pair, tmp_path):
+    # refused while parsing, before any image is read or output written
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *translate_pair, "--out-prefix", str(out / "t_"),
+              "--vectors-csv", str(out / "v.csv"), "--thin", "0"])
+    assert exc.value.code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_conv_unconverged_warning_names_kernel_radius(tmp_path, capsys):
     # at eps 1e-5 the conv kernel reaches 1 px, but the mass must move 7 px,
     # so no number of log-domain sweeps converges; the fields still form
@@ -335,6 +423,34 @@ def test_sweep_cli_writes_curve_csv(tmp_path):
     for eps, pts in by_eps.items():
         assert pts[0] == (0.0, 0.0)  # first-value subtraction
         assert pts == sorted(pts)
+
+
+SHARP_SWEEP = ["sweep", "--scenario", "translate", "--size", "16",
+               "--eps", "1e-5", "--t-steps", "2"]
+
+
+def test_sweep_stabilization_advice_names_sweep_flags(tmp_path, capsys):
+    rc = main([*SHARP_SWEEP, "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "(eps=1e-05, t=1)" in err
+    named = set(re.findall(r"--[a-z][a-z-]*", err))
+    assert "--log-domain" in named
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    usage = capsys.readouterr().out
+    for flag in named:
+        assert re.search(rf"{flag}\b", usage), flag
+
+
+def test_sweep_log_domain_rescues_sharp_run(tmp_path):
+    out = tmp_path / "s.csv"
+    rc = main([*SHARP_SWEEP, "--out", str(out), "--log-domain", "--max-iter", "20"])
+    assert rc == 0
+    rows = list(csv.reader(out.open(newline="")))[1:]
+    assert len(rows) == 2
+    assert [float(r[1]) for r in rows] == [0.0, 1.0]
+    assert all(np.isfinite(float(r[2])) for r in rows)
 
 
 def test_ncc_cli_recovers_known_shift(tmp_path):

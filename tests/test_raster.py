@@ -111,6 +111,22 @@ def test_pgm_bad_magic_and_maxval(tmp_path):
         load_raster(path)
 
 
+@pytest.mark.parametrize("raw, message, names_file", [
+    (b"P5\n2 2", "unexpected end of PGM header", False),
+    (b"P5\n2 2 # no line end", "unterminated comment in PGM header", False),
+    (b"P5\n2 x\n255\n" + bytes(4), "non-integer PGM header field", True),
+    (b"P5\n0 2\n255\n", "non-positive PGM dimensions", True),
+    (b"P5\n2 2\n255", "missing separator before PGM payload", True),
+])
+def test_pgm_header_errors(tmp_path, raw, message, names_file):
+    # each branch fails before the sidecar is read, so none is written
+    path = tmp_path / "h.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=message) as exc:
+        load_raster(path)
+    assert (str(path) in str(exc.value)) == names_file
+
+
 def test_sidecar_errors(tmp_path):
     r = make_raster()
     path = tmp_path / "m.pgm"

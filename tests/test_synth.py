@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otvelo import SCENARIO_KINDS, make_scenario, render, render_pair, sweep, sweep_to_csv
+from otvelo import synth
 from otvelo.synth import SWEEP_CSV_HEADER
 
 
@@ -138,6 +139,23 @@ def test_sweep_csv_format(tmp_path):
     assert float(cells[0]) == 1e-1
     assert float(cells[1]) == 0.0
     assert cells[4] in ("true", "false")
+
+
+def test_sweep_renders_each_frame_once(monkeypatch):
+    # each of the t_steps frames is rendered and normalized once, for all eps
+    calls = {"render": 0, "normalize_to_mass": 0}
+    for name in calls:
+        original = getattr(synth, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(synth, name, counted)
+    scn = make_scenario("translate", size=16, displacement=(3.0, 0.0))
+    rows = sweep(scn, [1.0, 1e-1, 0.5], t_steps=4)
+    assert len(rows) == 3 * 4
+    assert calls == {"render": 4, "normalize_to_mass": 4}
 
 
 def test_sweep_validation():
