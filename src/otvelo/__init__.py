@@ -12,7 +12,7 @@ from .raster import (
     normalize_to_mass, write_field, read_field, NODATA,
 )
 from .otcore import (
-    KernelSpec, ScalingPair, StabilizationError, NotConvergedError,
+    KernelSpec, ScalingPair, NotConvergedError,
     required_truncation_radius, kernel_apply, sinkhorn,
     wasserstein_value, DENSE_MAX_PIXELS,
 )
@@ -37,7 +37,7 @@ __all__ = [
     "FormatError", "TruncationError", "MetadataError", "DegenerateImageError",
     "load_raster", "save_raster", "apply_ice_mask", "equalize_contrast",
     "normalize_to_mass", "write_field", "read_field", "NODATA",
-    "KernelSpec", "ScalingPair", "StabilizationError", "NotConvergedError",
+    "KernelSpec", "ScalingPair", "NotConvergedError",
     "required_truncation_radius", "kernel_apply", "sinkhorn",
     "wasserstein_value", "DENSE_MAX_PIXELS",
     "ExactPlan", "BalanceError", "ScaleError", "exact_wasserstein",

@@ -5,9 +5,9 @@ matching baseline), synth (render a synthetic pair), sweep (distance-vs-
 motion curves), oracle (exact small-instance distance), compare-features
 (error report against manually tracked points).
 
-``solve`` exit codes: 0 converged, 2 stopped at max_iter (outputs are still
-written and flagged in the summary), 3 numeric stabilization failure (also
-``sweep``), 1 anything else (bad inputs, geometry mismatch); errors go to stderr.
+``solve`` and ``sweep`` exit codes: 0 converged, 2 stopped at max_iter
+(outputs are still written and flagged in the summary or the CSV), 1 anything
+else (bad inputs, geometry mismatch); errors go to stderr.
 """
 from __future__ import annotations
 
@@ -54,14 +54,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_args(sp):
         sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL)
-        sp.add_argument("--max-iter", type=int, default=otcore.DEFAULT_MAX_ITER)
+        sp.add_argument("--max-iter", type=_positive_int,
+                        default=otcore.DEFAULT_MAX_ITER)
         sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
         sp.add_argument("--log-domain", action="store_true",
-                        help="log-space iterations for very sharp mass contrasts")
+                        help="start in log-space iterations; a linear solve "
+                             "that overflows switches to them by itself")
 
     def add_scenario_args(sp):
         sp.add_argument("--scenario", required=True, choices=synth.SCENARIO_KINDS)
-        sp.add_argument("--size", type=int, default=128)
+        sp.add_argument("--size", type=_positive_int, default=128)
         sp.add_argument("--shape", choices=("polygon", "disc"), default="polygon")
         sp.add_argument("--seed", type=int, default=7)
 
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--floor", type=_positive_float, default=raster.DEFAULT_FLOOR)
     sp.add_argument("--equalize", action="store_true",
                     help="adaptive histogram equalization before transport")
-    sp.add_argument("--tile", type=int, default=raster.DEFAULT_TILE)
+    sp.add_argument("--tile", type=_positive_int, default=raster.DEFAULT_TILE)
     sp.add_argument("--clip-limit", type=_positive_float, default=raster.DEFAULT_CLIP_LIMIT)
     sp.add_argument("--principal-clip", type=_positive_float,
                     help="clip the principal strain raster to +/- this bound")
@@ -89,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ncc", help="block-matching displacement baseline")
     add_timed_pair_args(sp)
     sp.add_argument("--out", required=True, help="output CSV")
-    sp.add_argument("--window", type=int, default=ncc.DEFAULT_WINDOW)
-    sp.add_argument("--search-radius", type=int)
+    sp.add_argument("--window", type=_positive_int, default=ncc.DEFAULT_WINDOW)
+    sp.add_argument("--search-radius", type=_positive_int)
     sp.add_argument("--threshold", type=float, default=ncc.DEFAULT_THRESHOLD)
-    sp.add_argument("--stride", type=int)
+    sp.add_argument("--stride", type=_positive_int)
     sp.set_defaults(func=cmd_ncc)
 
     sp = sub.add_parser("synth", help="render a synthetic scene pair")
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV")
     sp.add_argument("--eps", type=_positive_float, nargs="+",
                     default=[1e-3, 1e-2, 1e-1, 1.0])
-    sp.add_argument("--t-steps", type=int, default=11)
+    sp.add_argument("--t-steps", type=_positive_int, default=11)
     add_solver_args(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -185,6 +187,7 @@ def cmd_solve(args) -> int:
         "residual": pair.residual,
         "converged": pair.converged,
         "omega": pair.omega,
+        "log_domain": pair.log_domain,
         "eps": args.eps,
         "mode": mode,
         "dt_s": dt,
@@ -247,6 +250,11 @@ def cmd_sweep(args) -> int:
                        log_domain=args.log_domain)
     synth.sweep_to_csv(rows, args.out)
     print(f"{len(rows)} sweep points -> {args.out}")
+    stopped = [f"(eps={r.eps:g}, t={r.t:g})" for r in rows if not r.converged]
+    if stopped:
+        print(f"warning: stopped at max_iter before reaching tol at "
+              f"{', '.join(stopped)}; raise --max-iter or --eps", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -364,9 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except otcore.StabilizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,8 @@ starting from u = 1.  omega = 1 is the classic w <- q / (xi^T u),
 u <- p / (xi w); the loop runs six such sweeps, then picks omega from the
 rate at which they reduced the error, and falls back to omega = 1 if the
 relaxed sweeps overflow or stall.  Linear and log-domain iterations share
-this loop.  It stops when the L1 marginal error
+this loop, and a linear solve whose plain sweeps overflow restarts in it in
+log-domain arithmetic.  It stops when the L1 marginal error
 ||u * xi w - p||_1 + ||w * xi^T u - q||_1 drops to ``tol`` (the rule of
 Altschuler, Weed & Rigollet 2017; Peyre & Cuturi, "Computational Optimal
 Transport", sec. 4.2) or after ``max_iter`` sweeps, and returns
@@ -85,10 +86,6 @@ _OMEGA_MAX = 1.9
 _PATIENCE = 50
 
 
-class StabilizationError(FloatingPointError):
-    """Scaling vectors left the float64 range during Sinkhorn iteration."""
-
-
 class NotConvergedError(RuntimeError):
     """A downstream quantity was requested from a non-converged scaling pair."""
 
@@ -125,9 +122,9 @@ class ScalingPair:
     residual <= tol.  The stored u is the source projection p / (xi w), so
     the pair's source marginal is exact and its target L1 error is at most
     ``residual``.  ``residual_history[k]`` is the error after sweep k + 1.
-    ``log_domain`` records the arithmetic of the solve, which derived fields
-    reuse.  ``omega`` is the over-relaxation factor the solve finished with:
-    1.0 if it never relaxed or fell back to plain sweeps.
+    ``log_domain`` records the arithmetic the solve finished in, which
+    derived fields reuse.  ``omega`` is the over-relaxation factor the solve
+    finished with: 1.0 if it never relaxed or fell back to plain sweeps.
     """
 
     log_u: np.ndarray
@@ -237,24 +234,9 @@ def kernel_apply(v: np.ndarray, kernel: KernelSpec, geometry: GridGeometry) -> n
     return _make_operator(kernel, geometry).apply(v)
 
 
-def _stabilization_error(name: str, iteration: int, mode: str) -> StabilizationError:
-    rescue = "rerun with log_domain=True (--log-domain on the command line)"
-    if mode == "conv":
-        rescue += (", or in dense mode (--mode dense), which keeps every "
-                   "kernel weight")
-    return StabilizationError(
-        f"{name} left (0, inf) at iteration {iteration}; the mass "
-        "separation is too sharp for this epsilon in linear arithmetic. "
-        f"Increase epsilon (--eps), or {rescue}."
-    )
-
-
-def _out_of_range(*named: tuple[str, np.ndarray]) -> str | None:
-    """Name of the first linear scaling outside (0, inf), if any."""
-    for name, vec in named:
-        if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
-            return name
-    return None
+def _out_of_range(*vecs: np.ndarray) -> bool:
+    """Whether any linear scaling has left (0, inf)."""
+    return any(not np.all(np.isfinite(v)) or np.any(v <= 0.0) for v in vecs)
 
 
 def _relaxation_factor(history: list[float]) -> float:
@@ -322,19 +304,20 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
 
     Safeguard: a relaxed sweep whose scalings leave (0, inf) or whose error
     is not finite, or an error still above its value at the switch 50
-    relaxed sweeps later, restarts the solve from u = 1 with plain sweeps
-    for good.  ``max_iter`` counts every sweep, and a restart costs one
-    extra kernel application; a solve that ``max_iter`` ends on a restart
-    returns the start, u = w = 1.
+    relaxed sweeps later, restarts the solve from u = 1 with plain sweeps;
+    only a switch to log-domain arithmetic (below) relaxes it again.
 
-    ``log_domain=True`` runs the same loop on log u, log w with max-shifted
-    log-sum-exp kernel applications, which tolerate arbitrarily sharp mass
-    ratios; away from underflow a log-domain solve takes about 1.25x the
-    time of a linear one at 512^2 and 2.35x at 64^2, where the elementwise
-    exp and log weigh more against the GEMMs.
-
-    Raises StabilizationError if the scaling vectors overflow or underflow
-    in a plain sweep in linear mode.
+    The same loop runs on log u, log w with max-shifted log-sum-exp kernel
+    applications, which tolerate arbitrarily sharp mass ratios; away from
+    underflow a log-domain solve takes about 1.25x the time of a linear one
+    at 512^2 and 2.35x at 64^2, where the elementwise exp and log weigh more
+    against the GEMMs.  A plain linear sweep whose scalings leave (0, inf)
+    restarts the solve from log u = 0 in log-domain arithmetic, with its own
+    six plain sweeps before omega is set, so it then repeats a
+    ``log_domain=True`` solve sweep for sweep; ``log_domain=True`` only
+    skips the linear attempt.  ``max_iter`` counts every sweep, and a
+    restart costs one extra kernel application; a solve that ``max_iter``
+    ends on a restart returns the start, u = w = 1.
     """
     if p.geometry != q.geometry:
         raise ValueError("source and target must share one grid geometry")
@@ -343,17 +326,17 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     op = _make_operator(kernel, p.geometry)
-    if log_domain:
-        apply, divide, marginal = op.log_apply, np.subtract, _exp_sum
-        pv, qv = np.log(p.mass), np.log(q.mass)
-        start = np.zeros
-    else:
-        apply, divide, marginal = op.apply, np.divide, np.multiply
-        pv, qv = p.mass, q.mass
-        start = np.ones
 
+    def arithmetic(log_domain):
+        if log_domain:
+            return (op.log_apply, np.subtract, _exp_sum,
+                    np.log(p.mass), np.log(q.mass), np.zeros)
+        return op.apply, np.divide, np.multiply, p.mass, q.mass, np.ones
+
+    apply, divide, marginal, pv, qv, start = arithmetic(log_domain)
     history = []
     omega, switch = 1.0, None   # switch: the sweep that raised omega above 1
+    relax_at = _WARMUP          # the sweep that sets omega; None: plain for good
     # overflow is detected below, not by numpy warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = w = start(p.geometry.n)   # w is first read by a relaxed sweep
@@ -365,14 +348,17 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
             t = apply(u)
             err = _l1(marginal(u, s), p.mass) + _l1(marginal(w, t), q.mass)
             history.append(err)
-            bad = None if log_domain else _out_of_range(
-                ("w", w), ("xi w", s), ("u", u), ("xi^T u", t))
-            if switch is None and bad:
-                raise _stabilization_error(bad, iterations, kernel.mode)
-            if switch is not None and (
-                    bad or not math.isfinite(err)
+            bad = not log_domain and _out_of_range(w, s, u, t)
+            if bad or switch is not None and (
+                    not math.isfinite(err)
                     or (iterations - switch >= _PATIENCE
                         and err > history[switch - 1])):
+                if switch is None:   # plain linear sweeps overflowed
+                    log_domain = True
+                    apply, divide, marginal, pv, qv, start = arithmetic(True)
+                    relax_at = iterations + _WARMUP
+                else:
+                    relax_at = None
                 omega, switch = 1.0, None
                 u = w = start(p.geometry.n)
                 s = None   # no projection if max_iter ends the solve here
@@ -380,8 +366,8 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
                 continue
             if err <= tol:
                 break
-            if iterations == _WARMUP:
-                omega = _relaxation_factor(history)
+            if iterations == relax_at:
+                omega = _relaxation_factor(history[-_WARMUP:])
                 switch = iterations if omega > 1.0 else None
         if s is not None:
             u = divide(pv, s)

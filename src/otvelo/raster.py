@@ -175,21 +175,21 @@ def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
     return meta
 
 
-def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
+def _read_pgm_tokens(raw: bytes, count: int, path: Path) -> tuple[list[bytes], int]:
     # Tokenizer for the PGM header: whitespace separated, '#' starts a
     # comment running to end of line.
     tokens = []
     pos = 0
     while len(tokens) < count:
         if pos >= len(raw):
-            raise FormatError("unexpected end of PGM header")
+            raise FormatError(f"{path}: unexpected end of PGM header")
         c = raw[pos:pos + 1]
         if c in b" \t\r\n":
             pos += 1
         elif c == b"#":
             nl = raw.find(b"\n", pos)
             if nl < 0:
-                raise FormatError("unterminated comment in PGM header")
+                raise FormatError(f"{path}: unterminated comment in PGM header")
             pos = nl + 1
         else:
             end = pos
@@ -208,7 +208,7 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
     """
     path = Path(path)
     raw = path.read_bytes()
-    tokens, pos = _read_pgm_tokens(raw, 4)
+    tokens, pos = _read_pgm_tokens(raw, 4, path)
     if tokens[0] != b"P5":
         raise FormatError(f"{path}: expected binary PGM magic 'P5', got {tokens[0]!r}")
     try:

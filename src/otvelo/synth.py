@@ -280,8 +280,7 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
     """Distance-vs-motion curves W_eps(t) - W_eps(0) on a shared t grid.
 
     Each t frame is rendered once and serves every eps.  Rows are ordered by
-    (eps, t); each eps curve starts at exactly 0.  Solver errors carry the
-    offending (eps, t) in their message.
+    (eps, t); each eps curve starts at exactly 0.
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
@@ -293,11 +292,8 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
         kernel = KernelSpec(float(eps), resolved)
         w0 = None
         for t, qt in zip(ts, frames):
-            try:
-                pair = sinkhorn(frames[0], qt, kernel, tol=tol, max_iter=max_iter,
-                                log_domain=log_domain)
-            except FloatingPointError as exc:
-                raise type(exc)(f"(eps={eps:g}, t={t:g}) {exc}") from exc
+            pair = sinkhorn(frames[0], qt, kernel, tol=tol, max_iter=max_iter,
+                            log_domain=log_domain)
             w = wasserstein_value(frames[0], qt, pair, strict=False)
             if w0 is None:
                 w0 = w

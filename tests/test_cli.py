@@ -123,13 +123,13 @@ def test_dense_mode_solves_sharp_pair_beyond_auto_cutoff(tmp_path, capsys):
     src, tgt = render_pair(make_scenario("translate", size=128), 1.0)
     save_raster(src, tmp_path / "a.pgm")
     save_raster(tgt, tmp_path / "b.pgm")
-    # linear conv overflows; the advice names both rescues, and the one that
-    # keeps every kernel weight is the one that works here
+    # conv stops unconverged whatever the arithmetic; the advice names the
+    # mode that keeps every kernel weight, which is the one that works here
     rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
-               "--out-prefix", str(tmp_path / "c_"), "--eps", "2e-4"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "--log-domain" in err and "--mode dense" in err
+               "--out-prefix", str(tmp_path / "c_"), "--eps", "2e-4",
+               "--max-iter", "60"])
+    assert rc == 2
+    assert "--mode dense" in capsys.readouterr().err
     prefix = str(tmp_path / "x_")
     rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
                "--out-prefix", prefix, "--mode", "dense", "--eps", "2e-4"])
@@ -137,6 +137,7 @@ def test_dense_mode_solves_sharp_pair_beyond_auto_cutoff(tmp_path, capsys):
     summary = json.loads(open(f"{prefix}summary.json").read())
     assert summary["mode"] == "dense"
     assert summary["converged"] is True
+    assert summary["iterations"] == 101
 
 
 @pytest.mark.parametrize("log_domain", [False, True])
@@ -211,13 +212,24 @@ def _corner_pair(tmp_path):
     return str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
 
 
-def test_solve_stabilization_failure_exits_3(tmp_path, capsys):
+def test_solve_overflow_switches_to_log_domain(tmp_path):
+    # linear scalings overflow at this eps; the solve restarts in log
+    # arithmetic and then repeats the --log-domain solve sweep for sweep
     a, b = _corner_pair(tmp_path)
-    rc = main(["solve", a, b, "--out-prefix", str(tmp_path / "x_"),
-               "--eps", "1e-5"])
-    assert rc == 3
-    # points at the log-domain rescue, by its CLI flag
-    assert "--log-domain" in capsys.readouterr().err
+    summaries = []
+    for name, flags in (("auto_", []), ("log_", ["--log-domain"])):
+        rc = main(["solve", a, b, "--out-prefix", str(tmp_path / name),
+                   "--eps", "1e-5", "--max-iter", "5000", *flags])
+        assert rc == 0
+        summaries.append(json.loads((tmp_path / f"{name}summary.json").read_text()))
+    auto, log = summaries
+    assert auto["log_domain"] is True and log["log_domain"] is True
+    assert auto["w_eps"] == log["w_eps"]
+    # the 31 discarded linear sweeps still count
+    assert auto["iterations"] == log["iterations"] + 31
+    for name in FIELD_NAMES:
+        assert (tmp_path / f"auto_{name}.f32").read_bytes() == (
+            tmp_path / f"log_{name}.f32").read_bytes()
 
 
 def test_solve_log_domain_rescues_sharp_pair(tmp_path):
@@ -430,12 +442,14 @@ SHARP_SWEEP = ["sweep", "--scenario", "translate", "--size", "16",
 
 
 def test_sweep_stabilization_advice_names_sweep_flags(tmp_path, capsys):
+    # the linear solves overflow and carry on in log arithmetic; the t = 1
+    # solve still stops at max_iter, and the warning names it and sweep flags
     rc = main([*SHARP_SWEEP, "--out", str(tmp_path / "s.csv")])
-    assert rc == 3
+    assert rc == 2
     err = capsys.readouterr().err
-    assert "(eps=1e-05, t=1)" in err
+    assert "(eps=1e-05, t=1)" in err and "t=0)" not in err
     named = set(re.findall(r"--[a-z][a-z-]*", err))
-    assert "--log-domain" in named
+    assert "--max-iter" in named
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
     usage = capsys.readouterr().out
@@ -443,10 +457,11 @@ def test_sweep_stabilization_advice_names_sweep_flags(tmp_path, capsys):
         assert re.search(rf"{flag}\b", usage), flag
 
 
-def test_sweep_log_domain_rescues_sharp_run(tmp_path):
+def test_sweep_log_domain_rescues_sharp_run(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main([*SHARP_SWEEP, "--out", str(out), "--log-domain", "--max-iter", "20"])
-    assert rc == 0
+    assert rc == 2  # the t = 1 solve stops at max_iter; its row is still written
+    assert "(eps=1e-05, t=1)" in capsys.readouterr().err
     rows = list(csv.reader(out.open(newline="")))[1:]
     assert len(rows) == 2
     assert [float(r[1]) for r in rows] == [0.0, 1.0]
@@ -554,6 +569,20 @@ def test_compare_features_scores_ncc_too(solved, translate_pair, tmp_path):
     assert report["ncc"]["median_abs_error_m"] >= 0
 
 
+def test_compare_features_header_only_ncc_csv(solved, tmp_path):
+    # an ncc run with no accepted window leaves only the header: every
+    # feature is excluded from the ncc score
+    prefix, _ = solved
+    feats = tmp_path / "features.csv"
+    feats.write_text("src_x,src_y,tgt_x,tgt_y\n8,8,13,8\n9,9,14,9\n")
+    empty = tmp_path / "ncc.csv"
+    empty.write_text(CSV_HEADER + "\n")
+    report = compare_features(prefix, str(feats), str(empty))
+    assert report["ncc"] == {"used": 0, "excluded": [0, 1],
+                             "median_defined": False,
+                             "median_abs_error_m": None}
+
+
 @pytest.mark.parametrize("header, body, where", [
     ("a,b,c", "1,2,3", ":"),
     (CSV_HEADER, "8.0,8.0,x,0,0,0,0.95", ", line 2:"),
@@ -577,6 +606,22 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--scenario", "bogus", "--out-prefix", "x_"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "missing.pgm", "missing.pgm", "--out-prefix", "x_", "--max-iter", "0"],
+    ["solve", "missing.pgm", "missing.pgm", "--out-prefix", "x_", "--tile", "-8"],
+    ["sweep", "--scenario", "translate", "--out", "s.csv", "--t-steps", "0"],
+    ["sweep", "--scenario", "translate", "--out", "s.csv", "--size", "0"],
+    ["ncc", "missing.pgm", "missing.pgm", "--out", "n.csv", "--window", "0"],
+    ["ncc", "missing.pgm", "missing.pgm", "--out", "n.csv", "--stride", "0"],
+    ["ncc", "missing.pgm", "missing.pgm", "--out", "n.csv", "--search-radius", "0"],
+], ids=["max_iter", "tile", "t_steps", "size", "window", "stride", "search_radius"])
+def test_count_flags_are_refused_while_parsing(argv):
+    # a count below 1 is a usage error before any image is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

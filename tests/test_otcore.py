@@ -6,7 +6,7 @@ import pytest
 
 from otvelo import (
     DENSE_MAX_PIXELS, GridGeometry, IntensityRaster, KernelSpec,
-    NotConvergedError, StabilizationError, kernel_apply, make_scenario,
+    NotConvergedError, kernel_apply, make_scenario,
     normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
     transport_distance, wasserstein_value,
 )
@@ -310,10 +310,13 @@ def near_pure_swap(mass_field):
 
 
 def test_sharp_swap_overflows_linear_mode(mass_field):
-    _, p, q = near_pure_swap(mass_field)
-    with pytest.raises(StabilizationError) as err:
-        sinkhorn(p, q, KernelSpec(1e-4, "dense"), tol=1e-10, max_iter=100000)
-    assert "log_domain" in str(err.value)
+    # the linear scalings leave (0, inf), and the solve carries on in log
+    # arithmetic instead of failing
+    g, p, q = near_pure_swap(mass_field)
+    pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), tol=1e-10, max_iter=100000)
+    assert pair.converged and pair.log_domain
+    gam = dense_coupling(pair, _squared_distances(g))
+    assert gam[0, 1] >= 0.99
 
 
 def test_sharp_swap_solved_in_log_domain(mass_field):
@@ -393,15 +396,44 @@ def test_overrelaxed_pair_keeps_marginal_contract():
 
 def test_overrelaxation_overflow_falls_back_to_plain_sweeps():
     # relaxed linear sweeps overflow on this pair (at sweep 30); the solve
-    # restarts plainly instead of raising StabilizationError
+    # restarts plainly, still in linear arithmetic
     src, tgt = render_pair(make_scenario("translate", size=128), 1.0)
     p, q = normalize_to_mass(src), normalize_to_mass(tgt)
     pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), max_iter=5000)
     assert pair.converged
-    assert pair.omega == 1.0
+    assert pair.omega == 1.0 and not pair.log_domain
     # a cap that ends the solve on the restart returns the finite start
     cut = sinkhorn(p, q, KernelSpec(1e-4, "dense"), max_iter=30)
     assert not cut.converged and cut.omega == 1.0
+    assert np.all(cut.log_u == 0.0) and np.all(cut.log_w == 0.0)
+
+
+def test_switch_to_log_domain_restarts_the_warmup(monkeypatch):
+    # a linear overflow inside the plain warm-up restarts it in log
+    # arithmetic: the solve then repeats the log-domain solve sweep for
+    # sweep, relaxation included, and its history keeps the discarded sweeps
+    src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    k = KernelSpec(1e-3, "conv")
+    log = sinkhorn(p, q, k, log_domain=True)
+    calls = []
+
+    def overflow_at_sweep_3(*vecs):
+        calls.append(1)
+        return len(calls) == 3
+
+    monkeypatch.setattr("otvelo.otcore._out_of_range", overflow_at_sweep_3)
+    auto = sinkhorn(p, q, k)
+    assert auto.log_domain and auto.converged
+    assert auto.omega == log.omega > 1.0
+    assert auto.iterations == log.iterations + 3
+    assert np.array_equal(auto.residual_history[3:], log.residual_history)
+    assert np.array_equal(auto.log_u, log.log_u)
+    assert np.array_equal(auto.log_w, log.log_w)
+    # a cap that ends the solve on the switch returns the start
+    calls.clear()
+    cut = sinkhorn(p, q, k, max_iter=3)
+    assert cut.log_domain and not cut.converged
     assert np.all(cut.log_u == 0.0) and np.all(cut.log_w == 0.0)
 
 

@@ -112,8 +112,8 @@ def test_pgm_bad_magic_and_maxval(tmp_path):
 
 
 @pytest.mark.parametrize("raw, message, names_file", [
-    (b"P5\n2 2", "unexpected end of PGM header", False),
-    (b"P5\n2 2 # no line end", "unterminated comment in PGM header", False),
+    (b"P5\n2 2", "unexpected end of PGM header", True),
+    (b"P5\n2 2 # no line end", "unterminated comment in PGM header", True),
     (b"P5\n2 x\n255\n" + bytes(4), "non-integer PGM header field", True),
     (b"P5\n0 2\n255\n", "non-positive PGM dimensions", True),
     (b"P5\n2 2\n255", "missing separator before PGM payload", True),
