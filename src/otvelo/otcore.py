@@ -51,7 +51,8 @@ offsets, so the result does not depend on how far the scalings spread.
 
 The per-pixel moments of the coupling that :mod:`otvelo.fields` needs are
 sums u * xi(w * f); :func:`_scaled_apply` forms them through the same kernel
-operator and in the same arithmetic as the solve that produced u and w.
+operator as the solve, always from the log scalings, so they stay finite
+however far u and w spread, whichever arithmetic the solve finished in.
 """
 from __future__ import annotations
 
@@ -121,10 +122,12 @@ class ScalingPair:
     ||w * xi^T u - q||_1 after the last sweep; ``converged`` means
     residual <= tol.  The stored u is the source projection p / (xi w), so
     the pair's source marginal is exact and its target L1 error is at most
-    ``residual``.  ``residual_history[k]`` is the error after sweep k + 1.
-    ``log_domain`` records the arithmetic the solve finished in, which
-    derived fields reuse.  ``omega`` is the over-relaxation factor the solve
-    finished with: 1.0 if it never relaxed or fell back to plain sweeps.
+    ``residual``.  ``residual_history[k]`` is the error after sweep k + 1;
+    after a sweep that restarted the solve it is the error of the restart's
+    start, u = w = 1.  ``log_domain`` records the arithmetic the solve
+    finished in, for reporting only.  ``omega`` is the over-relaxation
+    factor the solve finished with: 1.0 if it never relaxed or fell back to
+    plain sweeps.
     """
 
     log_u: np.ndarray
@@ -297,15 +300,16 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     Iteration stops once the L1 marginal error
     ``residual = ||u * xi w - p||_1 + ||w * xi^T u - q||_1`` is at most
     ``tol``, or after ``max_iter`` sweeps; both terms reuse the two kernel
-    applications of the sweep.  On return u is replaced by p / (xi w), which
-    makes the source marginal exact and moves the target marginal by at most
-    the first term, so the returned pair's target L1 error is at most
-    ``residual``.
+    applications of the sweep.  On every return u is replaced by p / (xi w),
+    which makes the source marginal exact and moves the target marginal by
+    at most the first term, so the returned pair's target L1 error is at
+    most ``residual``.
 
     Safeguard: a relaxed sweep whose scalings leave (0, inf) or whose error
     is not finite, or an error still above its value at the switch 50
-    relaxed sweeps later, restarts the solve from u = 1 with plain sweeps;
-    only a switch to log-domain arithmetic (below) relaxes it again.
+    relaxed sweeps later, restarts the solve from u = w = 1 with plain
+    sweeps; only a switch to log-domain arithmetic (below) relaxes it again.
+    A restart records the error of its start in place of the failed sweep's.
 
     The same loop runs on log u, log w with max-shifted log-sum-exp kernel
     applications, which tolerate arbitrarily sharp mass ratios; away from
@@ -317,7 +321,8 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     ``log_domain=True`` solve sweep for sweep; ``log_domain=True`` only
     skips the linear attempt.  ``max_iter`` counts every sweep, and a
     restart costs one extra kernel application; a solve that ``max_iter``
-    ends on a restart returns the start, u = w = 1.
+    ends on a restart returns the projected start, u = p / (xi 1), w = 1,
+    with the start's error as ``residual``.
     """
     if p.geometry != q.geometry:
         raise ValueError("source and target must share one grid geometry")
@@ -335,12 +340,13 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
 
     apply, divide, marginal, pv, qv, start = arithmetic(log_domain)
     history = []
-    omega, switch = 1.0, None   # switch: the sweep that raised omega above 1
-    relax_at = _WARMUP          # the sweep that sets omega; None: plain for good
+    omega = 1.0        # above 1 only after the sweep relax_at raised it
+    relax_at = _WARMUP  # the sweep that sets omega; None: plain for good
     # overflow is detected below, not by numpy warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = w = start(p.geometry.n)   # w is first read by a relaxed sweep
-        t = apply(u)
+        # xi is symmetric, so at u = w = 1 both kernel sums are xi 1
+        u = w = start(p.geometry.n)
+        s = t = apply(u)
         for iterations in range(1, max_iter + 1):
             w = _relax(w, divide(qv, t), omega, log_domain)
             s = apply(w)
@@ -349,28 +355,27 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
             err = _l1(marginal(u, s), p.mass) + _l1(marginal(w, t), q.mass)
             history.append(err)
             bad = not log_domain and _out_of_range(w, s, u, t)
-            if bad or switch is not None and (
+            if bad or omega > 1.0 and (
                     not math.isfinite(err)
-                    or (iterations - switch >= _PATIENCE
-                        and err > history[switch - 1])):
-                if switch is None:   # plain linear sweeps overflowed
+                    or (iterations - relax_at >= _PATIENCE
+                        and err > history[relax_at - 1])):
+                if omega == 1.0:   # plain linear sweeps overflowed
                     log_domain = True
                     apply, divide, marginal, pv, qv, start = arithmetic(True)
                     relax_at = iterations + _WARMUP
                 else:
                     relax_at = None
-                omega, switch = 1.0, None
+                omega = 1.0
                 u = w = start(p.geometry.n)
-                s = None   # no projection if max_iter ends the solve here
-                t = apply(u)
+                s = t = apply(u)
+                history[-1] = (_l1(marginal(u, s), p.mass)
+                               + _l1(marginal(w, t), q.mass))
                 continue
             if err <= tol:
                 break
             if iterations == relax_at:
                 omega = _relaxation_factor(history[-_WARMUP:])
-                switch = iterations if omega > 1.0 else None
-        if s is not None:
-            u = divide(pv, s)
+        u = divide(pv, s)
     if not log_domain:
         u, w = np.log(u), np.log(w)
     residual = history[-1]
@@ -380,17 +385,11 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
 
 def _scaled_apply(log_a: np.ndarray, log_b: np.ndarray, pair: ScalingPair,
                   geometry: GridGeometry, *fields: np.ndarray) -> list[np.ndarray]:
-    """a * xi(b * f) for each positive field f, in the solve's arithmetic.
-
-    After a log-domain solve this is exp(log a + logsumexp(log b + log f)),
-    which stays finite however far a and b spread; after a linear solve a and
-    b were finite already and the linear apply serves.
-    """
+    """a * xi(b * f) for each positive field f, as
+    exp(log a + logsumexp(log b + log f)), which stays finite however far a
+    and b spread."""
     op = _make_operator(pair.kernel, geometry)
-    if pair.log_domain:
-        return [np.exp(log_a + op.log_apply(log_b + np.log(f))) for f in fields]
-    a, b = np.exp(log_a), np.exp(log_b)
-    return [a * op.apply(b * f) for f in fields]
+    return [np.exp(log_a + op.log_apply(log_b + np.log(f))) for f in fields]
 
 
 def _require_converged(pair: ScalingPair, what: str, strict: bool) -> None:

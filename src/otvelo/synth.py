@@ -6,8 +6,9 @@ translation, a floe splitting into two fragments (equal or 20/80), a
 four-way split that keeps the scene centroid fixed, two floes moving
 independently, and in-place rotation.  Frames are binary (floe 255 on
 background 0); ``t`` in [0, 1] scales the motion, and ``t = 0`` reproduces
-the source frame exactly.  Geometry comes from one seeded irregular convex
-polygon (or a disc), so every render is deterministic.
+the source frame exactly.  Every frame rasterizes moved (translated,
+split or rotated) copies of one seeded irregular convex polygon (or a disc),
+so every render is deterministic.
 """
 from __future__ import annotations
 
@@ -223,6 +224,12 @@ def _fragment_polys(scn: Scenario, t: float) -> list[np.ndarray]:
             d = np.asarray(f["displacement"], dtype=float)
             polys.append(_floe_polygon(spec) + t * d)
         return polys
+    if kind == "rotate":
+        a = t * float(scn.motion["angle"])
+        pivot = _centroid(base)
+        dx, dy = (base - pivot).T
+        return [pivot + np.column_stack([dx * math.cos(a) - dy * math.sin(a),
+                                         dx * math.sin(a) + dy * math.cos(a)])]
     raise ValueError(f"no polygon motion for kind {scn.kind!r}")
 
 
@@ -230,30 +237,13 @@ def render(scn: Scenario, t: float) -> IntensityRaster:
     """Render the scene at motion parameter ``t`` in [0, 1].
 
     Timestamps advance at one day per unit t, so a (t=0, t=1) pair spans
-    86400 s.  Rotation resamples the t = 0 raster by inverse mapping with
-    nearest-neighbor lookup; every other kind rasterizes moved polygons.
+    86400 s.  Every kind rasterizes moved polygons; rotation turns the floe
+    polygon by t * angle about its centroid.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     geometry = GridGeometry(scn.size, scn.size, scn.pixel_size)
-    if scn.kind == "rotate":
-        base = _rasterize([_floe_polygon(scn.floe)], scn.size, scn.floe.intensity)
-        if t == 0.0:
-            values = base
-        else:
-            angle = t * float(scn.motion["angle"])
-            pivot = _centroid(_floe_polygon(scn.floe))
-            yy, xx = np.mgrid[0:scn.size, 0:scn.size]
-            px = xx + 0.5 - pivot[0]
-            py = yy + 0.5 - pivot[1]
-            ca, sa = math.cos(-angle), math.sin(-angle)
-            sx = np.floor(ca * px - sa * py + pivot[0]).astype(np.intp)
-            sy = np.floor(sa * px + ca * py + pivot[1]).astype(np.intp)
-            ok = (sx >= 0) & (sx < scn.size) & (sy >= 0) & (sy < scn.size)
-            values = np.zeros_like(base)
-            values[ok] = base[sy[ok], sx[ok]]
-    else:
-        values = _rasterize(_fragment_polys(scn, t), scn.size, scn.floe.intensity)
+    values = _rasterize(_fragment_polys(scn, t), scn.size, scn.floe.intensity)
     return IntensityRaster(geometry, values, t * SECONDS_PER_DAY)
 
 

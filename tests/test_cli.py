@@ -1,11 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otvelo
 from otvelo import (
     GridGeometry,
     IntensityRaster,
@@ -232,6 +237,24 @@ def test_solve_overflow_switches_to_log_domain(tmp_path):
             tmp_path / f"log_{name}.f32").read_bytes()
 
 
+def test_solve_cut_on_restart_writes_strict_json(tmp_path):
+    # --max-iter ends this solve on its switch to log arithmetic; the
+    # summary reports the projected start, not the overflowed sweep
+    a, b = _corner_pair(tmp_path)
+    prefix = str(tmp_path / "cut_")
+    rc = main(["solve", a, b, "--out-prefix", prefix,
+               "--eps", "1e-5", "--max-iter", "31"])
+    assert rc == 2
+
+    def refuse(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    summary = json.loads(open(f"{prefix}summary.json").read(),
+                         parse_constant=refuse)
+    assert summary["log_domain"] is True and summary["converged"] is False
+    assert np.isfinite(summary["residual"]) and np.isfinite(summary["w_eps"])
+
+
 def test_solve_log_domain_rescues_sharp_pair(tmp_path):
     a, b = _corner_pair(tmp_path)
     prefix = str(tmp_path / "log_")
@@ -416,6 +439,20 @@ def test_synth_cli_writes_loadable_pair(tmp_path):
     assert src.timestamp == 0.0
     assert tgt.timestamp == pytest.approx(0.5 * 86400.0)
     assert not np.array_equal(src.values, tgt.values)
+
+
+def test_module_cli_runs_main(tmp_path):
+    prefix = str(tmp_path / "scene_")
+    src_dir = str(Path(otvelo.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "otvelo.cli", "synth", "--scenario",
+         "translate", "--size", "16", "--out-prefix", prefix],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for name in ("source", "target"):
+        assert load_raster(f"{prefix}{name}.pgm").geometry.width == 16
 
 
 def test_sweep_cli_writes_curve_csv(tmp_path):

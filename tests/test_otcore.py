@@ -72,7 +72,8 @@ def dense_coupling(pair, cost):
 
 def coupling_marginals(p, pair):
     """Row and column sums u * xi(w) and w * xi(u) of the plan (xi is
-    symmetric), through the solve's own kernel operator and arithmetic."""
+    symmetric), through the solve's own kernel operator, from the log
+    scalings as the derived fields form them."""
     ones = np.ones(p.geometry.n)
     (row,) = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, ones)
     (col,) = _scaled_apply(pair.log_w, pair.log_u, pair, p.geometry, ones)
@@ -394,6 +395,18 @@ def test_overrelaxed_pair_keeps_marginal_contract():
         assert np.abs(col - q.mass).sum() <= pair.residual
 
 
+def assert_projected_start(p, q, pair):
+    """The pair is the start w = 1 with u projected to p / xi(1), and its
+    residual is the start's L1 error ||xi 1 - p||_1 + ||xi 1 - q||_1."""
+    xi1 = kernel_apply(np.ones(p.geometry.n), pair.kernel, p.geometry)
+    assert np.all(pair.log_w == 0.0)
+    assert np.all(np.abs(np.exp(pair.log_u) * xi1 - p.mass) <= 1e-13 * p.mass)
+    start = np.abs(xi1 - p.mass).sum() + np.abs(xi1 - q.mass).sum()
+    assert math.isfinite(pair.residual)
+    assert pair.residual == pytest.approx(start, rel=1e-12)
+    assert pair.residual_history[-1] == pair.residual
+
+
 def test_overrelaxation_overflow_falls_back_to_plain_sweeps():
     # relaxed linear sweeps overflow on this pair (at sweep 30); the solve
     # restarts plainly, still in linear arithmetic
@@ -402,16 +415,17 @@ def test_overrelaxation_overflow_falls_back_to_plain_sweeps():
     pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), max_iter=5000)
     assert pair.converged
     assert pair.omega == 1.0 and not pair.log_domain
-    # a cap that ends the solve on the restart returns the finite start
+    # a cap that ends the solve on the restart returns the projected start
     cut = sinkhorn(p, q, KernelSpec(1e-4, "dense"), max_iter=30)
-    assert not cut.converged and cut.omega == 1.0
-    assert np.all(cut.log_u == 0.0) and np.all(cut.log_w == 0.0)
+    assert not cut.converged and cut.omega == 1.0 and not cut.log_domain
+    assert_projected_start(p, q, cut)
 
 
 def test_switch_to_log_domain_restarts_the_warmup(monkeypatch):
     # a linear overflow inside the plain warm-up restarts it in log
     # arithmetic: the solve then repeats the log-domain solve sweep for
-    # sweep, relaxation included, and its history keeps the discarded sweeps
+    # sweep, relaxation included, and its history keeps an entry for each
+    # discarded sweep
     src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
     p, q = normalize_to_mass(src), normalize_to_mass(tgt)
     k = KernelSpec(1e-3, "conv")
@@ -430,11 +444,11 @@ def test_switch_to_log_domain_restarts_the_warmup(monkeypatch):
     assert np.array_equal(auto.residual_history[3:], log.residual_history)
     assert np.array_equal(auto.log_u, log.log_u)
     assert np.array_equal(auto.log_w, log.log_w)
-    # a cap that ends the solve on the switch returns the start
+    # a cap that ends the solve on the switch returns the projected start
     calls.clear()
     cut = sinkhorn(p, q, k, max_iter=3)
-    assert cut.log_domain and not cut.converged
-    assert np.all(cut.log_u == 0.0) and np.all(cut.log_w == 0.0)
+    assert cut.log_domain and not cut.converged and cut.omega == 1.0
+    assert_projected_start(p, q, cut)
 
 
 def test_stalled_overrelaxation_restarts_plain_solve(monkeypatch):
@@ -578,3 +592,19 @@ def test_dense_mode_beyond_auto_cutoff_equals_conv(mass_field):
     assert a.iterations == b.iterations
     assert np.array_equal(a.log_u, b.log_u)
     assert np.array_equal(a.log_w, b.log_w)
+
+
+def test_scaled_apply_matches_linear_moments():
+    # the moments are formed from the log scalings after a linear solve too;
+    # the reference is the linear formula a * xi(b * f)
+    src, tgt = render_pair(make_scenario("translate", size=32), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"))
+    assert pair.converged and not pair.log_domain
+    op = _make_operator(pair.kernel, p.geometry)
+    x, y = p.geometry.pixel_centers()
+    moments = (x, y, x * x + y * y)
+    got = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, *moments)
+    for f, g in zip(moments, got):
+        ref = np.exp(pair.log_u) * op.apply(np.exp(pair.log_w) * f)
+        assert np.all(np.abs(g - ref) <= 1e-12 * ref)

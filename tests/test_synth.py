@@ -76,6 +76,20 @@ def test_rotate_t0_is_base_frame():
     assert quarter.values.sum() > 0
 
 
+def test_rotate_frame_is_rotated_polygon():
+    # rotation moves the floe polygon like every other kind; it turns by
+    # t * angle about the polygon's centroid, counterclockwise in (x, y)
+    scn = make_scenario("rotate", size=64)
+    base = synth._floe_polygon(scn.floe)
+    pivot = synth._centroid(base)
+    a = 0.5 * scn.motion["angle"]
+    dx, dy = (base - pivot).T
+    turned = pivot + np.column_stack([dx * np.cos(a) - dy * np.sin(a),
+                                      dx * np.sin(a) + dy * np.cos(a)])
+    expected = synth._rasterize([turned], 64, scn.floe.intensity)
+    assert np.array_equal(render(scn, 0.5).values, expected)
+
+
 def test_render_pair_timestamps():
     scn = make_scenario("multi_floe", size=64)
     src, tgt = render_pair(scn, 0.75)
