@@ -12,7 +12,8 @@ from otvelo import (
 )
 from otvelo.oracle import _squared_distances
 from otvelo.otcore import (
-    _PATIENCE, _WARMUP, _make_operator, _scaled_apply, resolve_mode,
+    _PATIENCE, _WARMUP, _make_operator, _out_of_range, _scaled_apply,
+    resolve_mode,
 )
 
 
@@ -143,6 +144,77 @@ def test_log_apply_underflow_matches_nxn_logsumexp():
                 ref = nxn_log_apply(lv, eps, g, radius)
                 got = _make_operator(KernelSpec(eps, mode), g).log_apply(lv)
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# 300 x 140 has three row blocks along x and two along y (one of 12 rows)
+TILED = GridGeometry(300, 140, 250.0)
+
+
+def axis_log_apply(lv, eps, pitch, radius):
+    """log(K @ exp(lv)) down each column for the 1-D log weights
+    -(k * pitch)^2 / eps within ``radius`` px and -inf beyond, as one exact
+    log-sum-exp per column."""
+    k = np.arange(lv.shape[0])
+    offsets = k[:, None] - k[None, :]
+    log_k = np.where(np.abs(offsets) <= radius,
+                     -(offsets * pitch) ** 2 / eps, -np.inf)
+    out = np.empty_like(lv)
+    for j in range(lv.shape[1]):
+        a = log_k + lv[None, :, j]
+        m = a.max(axis=1)
+        out[:, j] = np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+    return out
+
+
+@pytest.mark.parametrize("eps, mode", [(1e-3, "conv"), (1e-4, "dense")])
+def test_tiled_apply_skips_only_exact_zeros(eps, mode):
+    g = TILED
+    op = _make_operator(KernelSpec(eps, mode), g)
+    assert op.spans_x is not None   # the band holds exact zeros to skip
+    for band, spans in ((op.band_x, op.spans_x), (op.band_y, op.spans_y)):
+        if spans is None:
+            continue
+        covered = np.zeros(band.shape, dtype=bool)
+        for r0, r1, c0, c1 in spans:
+            covered[r0:r1, c0:c1] = True
+        assert covered.any(axis=1).all()
+        assert np.all(band[~covered] == 0.0)
+    rng = np.random.default_rng(10)
+    v = rng.uniform(0.0, 1.0, g.n)
+    ref = op.band_y @ v.reshape(g.height, g.width) @ op.band_x
+    got = op.apply(v).reshape(g.height, g.width)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a spread of 1e4 underflows most shifted sums into the exact fallback
+    radius = required_truncation_radius(eps, g) if mode == "conv" else g.width
+    for spread in (30.0, 1e4):
+        lv = rng.uniform(-spread, spread, (g.height, g.width))
+        ref = axis_log_apply(axis_log_apply(lv.T, eps, g.pitch, radius).T,
+                             eps, g.pitch, radius)
+        got = op.log_apply(lv.reshape(-1)).reshape(g.height, g.width)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("geometry, eps, mode", [
+    (GridGeometry(128, 96, 250.0), 1e-3, "conv"),
+    (GridGeometry(64, 64, 250.0), 1e-2, "dense"),
+    (TILED, 1e-2, "dense"),   # a band without zeros
+])
+def test_single_product_apply_is_unchanged(geometry, eps, mode):
+    op = _make_operator(KernelSpec(eps, mode), geometry)
+    assert op.spans_x is None and op.spans_y is None
+    v = np.random.default_rng(11).uniform(0.0, 1.0, geometry.n)
+    grid = v.reshape(geometry.height, geometry.width)
+    ref = (op.band_y @ grid @ op.band_x).reshape(-1)
+    assert np.array_equal(op.apply(v), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("which", range(4))
+def test_out_of_range_flags_each_bad_value(bad, which):
+    vecs = [np.full(5, 0.5) for _ in range(4)]
+    assert not _out_of_range(*vecs)
+    vecs[which][3] = bad
+    assert _out_of_range(*vecs)
 
 
 def test_kernel_apply_validates_input():
