@@ -184,6 +184,7 @@ def cmd_solve(args) -> int:
     report = {
         "w_eps": summary.w_eps,
         "iterations": pair.iterations,
+        "coarse_iterations": [list(level) for level in pair.coarse_iterations],
         "residual": pair.residual,
         "converged": pair.converged,
         "omega": pair.omega,
@@ -206,7 +207,9 @@ def cmd_solve(args) -> int:
             for i in np.flatnonzero(keep)]
         Path(args.vectors_csv).write_text("\n".join(lines) + "\n")
 
+    coarse = json.dumps(report["coarse_iterations"], separators=(",", ":"))
     print(f"W_eps={summary.w_eps:.9g} iterations={pair.iterations} "
+          f"coarse_iterations={coarse} "
           f"residual={pair.residual:.3e} converged={pair.converged}")
     if not pair.converged:
         advice = ""
@@ -268,7 +271,8 @@ def cmd_oracle(args) -> int:
 
 
 def _read_features(path: str) -> np.ndarray:
-    """Rows of src_x,src_y,tgt_x,tgt_y; only the first line may be a header."""
+    """Rows of four finite numbers src_x,src_y,tgt_x,tgt_y; only the first
+    line may be a header."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -281,10 +285,10 @@ def _read_features(path: str) -> np.ndarray:
                 if reader.line_num == 1:
                     continue  # header line
                 values = []
-            if len(values) < 4:
+            if len(values) < 4 or not np.isfinite(values).all():
                 raise ValueError(
-                    f"{path}, line {reader.line_num}: expected four numbers "
-                    f"src_x,src_y,tgt_x,tgt_y, got {','.join(record)!r}")
+                    f"{path}, line {reader.line_num}: expected four finite "
+                    f"numbers src_x,src_y,tgt_x,tgt_y, got {','.join(record)!r}")
             rows.append(values)
     return np.asarray(rows, dtype=float).reshape(-1, 4)
 

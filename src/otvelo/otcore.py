@@ -12,21 +12,33 @@ over-relaxed:
 
     w <- w * (q / (w * xi^T u))^omega,   u <- u * (p / (u * xi w))^omega
 
-starting from u = 1.  omega = 1 is the classic w <- q / (xi^T u),
-u <- p / (xi w); the loop runs six such sweeps, then picks omega from the
-rate at which they reduced the error, and falls back to omega = 1 if the
-relaxed sweeps overflow or stall.  Linear and log-domain iterations share
-this loop, and a linear solve whose plain sweeps overflow restarts in it in
-log-domain arithmetic.  It stops when the L1 marginal error
-||u * xi w - p||_1 + ||w * xi^T u - q||_1 drops to ``tol`` (the rule of
-Altschuler, Weed & Rigollet 2017; Peyre & Cuturi, "Computational Optimal
-Transport", sec. 4.2) or after ``max_iter`` sweeps, and returns
-u = p / (xi w), whose source marginal is exact.  At the optimum the value
-has the dual expression
+starting from u = 1, or from the solve of a coarser grid (below).  omega = 1
+is the classic w <- q / (xi^T u), u <- p / (xi w); the loop runs six such
+sweeps, then picks omega from the rate at which they reduced the error, and
+falls back to omega = 1 if the relaxed sweeps overflow or stall.  Linear and
+log-domain iterations share this loop, and a linear solve whose plain sweeps
+overflow restarts in it in log-domain arithmetic.  It stops when the L1
+marginal error ||u * xi w - p||_1 + ||w * xi^T u - q||_1 drops to ``tol``
+(the rule of Altschuler, Weed & Rigollet 2017; Peyre & Cuturi,
+"Computational Optimal Transport", sec. 4.2) or after ``max_iter`` sweeps,
+and returns u = p / (xi w), whose source marginal is exact.  At the optimum
+the value has the dual expression
 
     W_eps = eps * (<p, log u> + <q, log w>)
 
 which this module uses throughout (it is exact whenever the marginals hold).
+
+Large solves run coarse to fine (Schmitzer 2019, "Stabilized sparse scaling
+algorithms for entropy regularized transport problems", sec. 4; Merigot
+2011, "A multiscale approach to optimal transport").  While both sides are
+even, the pooled grid keeps at least 128 px on its shorter side, and the
+kernel's standard deviation sqrt(eps / 2) spans at least 2 pooled pixels, p
+and q are sum-pooled 2x2 onto the grid of twice the pitch and solved first,
+with the same eps and kernel mode; each finer level starts from the coarser
+level's log u and log w, bilinearly interpolated, minus log 4.  Each level
+runs the loop above in full, with its own ``max_iter`` sweeps.  On the 512^2
+block pair at eps = 1e-3 the finest level takes 16 sweeps against 71 cold.
+Smaller grids, odd sides and narrower kernels keep one level.
 
 Because the squared Euclidean cost separates along axes, xi is exactly the
 Kronecker product of two 1-D Gaussian kernels (Solomon et al. 2015,
@@ -61,7 +73,7 @@ however far u and w spread, whichever arithmetic the solve finished in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +108,16 @@ _RATIO_FROM = 3
 _FLAT = 1.0 - 1e-9
 _OMEGA_MAX = 1.9
 _PATIENCE = 50
+# coarse-to-fine: a solve first solves its 2x2-pooled problem while both sides
+# are even, the pooled grid keeps _COARSE_MIN_SIDE px on its shorter side, and
+# the kernel's standard deviation sqrt(eps / 2) spans _COARSE_MIN_SIGMA pooled
+# pixels.  One BLAS thread, 512^2 block pair: at eps = 1e-3 three levels take
+# 71 / 17 / 16 sweeps against 71 cold, 0.5-0.7 against 1.8-1.9 s; at 1e-4
+# (sigma 1.8 pooled px) the warm start lowers the omega estimate from 1.9 to
+# 1.5-1.6 and the fine level takes 221-313 sweeps against 218 cold; on grids
+# of 128 px or less a pooled level ran at 0.3-1.0x the speed of a cold solve.
+_COARSE_MIN_SIDE = 128
+_COARSE_MIN_SIGMA = 2.0
 
 
 class NotConvergedError(RuntimeError):
@@ -134,11 +156,14 @@ class ScalingPair:
     residual <= tol.  The stored u is the source projection p / (xi w), so
     the pair's source marginal is exact and its target L1 error is at most
     ``residual``.  ``residual_history[k]`` is the error after sweep k + 1;
-    after a sweep that restarted the solve it is the error of the restart's
-    start, u = w = 1.  ``log_domain`` records the arithmetic the solve
-    finished in, for reporting only.  ``omega`` is the over-relaxation
-    factor the solve finished with: 1.0 if it never relaxed or fell back to
-    plain sweeps.
+    after a sweep that restarted the solve it is the error of the level's
+    start (u = w = 1 on a one-level solve).  ``log_domain`` records the
+    arithmetic the solve finished in, for reporting only.  ``omega`` is the
+    over-relaxation factor the solve finished with: 1.0 if it never relaxed
+    or fell back to plain sweeps.  All of these describe the finest level of the solve;
+    ``coarse_iterations`` holds the (width, height, sweeps) of each coarser
+    level that warm-started it, coarsest first, and is empty for a solve
+    of one level.
     """
 
     log_u: np.ndarray
@@ -150,6 +175,7 @@ class ScalingPair:
     residual_history: np.ndarray
     log_domain: bool
     omega: float
+    coarse_iterations: tuple[tuple[int, int, int], ...] = ()
 
 
 def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
@@ -332,10 +358,69 @@ def _l1(marginal: np.ndarray, target: np.ndarray) -> float:
     return float(marginal.sum())
 
 
+def _coarsens(geometry: GridGeometry, epsilon: float) -> bool:
+    """Whether a solve on ``geometry`` first solves its 2x2-pooled problem."""
+    return (geometry.width % 2 == 0 and geometry.height % 2 == 0
+            and min(geometry.width, geometry.height) // 2 >= _COARSE_MIN_SIDE
+            and math.sqrt(epsilon / 2.0)
+            >= _COARSE_MIN_SIGMA * 2.0 * geometry.pitch)
+
+
+def _pool(field: MassField) -> MassField:
+    """2x2 sum-pooled mass on the grid of half the sides and twice the pitch,
+    whose pixel centres are the means of their four fine centres."""
+    g = field.geometry
+    coarse = GridGeometry(g.width // 2, g.height // 2, 2.0 * g.pixel_size)
+
+    def pool(v, reduce):
+        return reduce(v.reshape(coarse.height, 2, coarse.width, 2), axis=(1, 3))
+
+    return MassField(coarse, pool(field.mass, np.sum), pool(field.mask, np.any),
+                     field.floor)
+
+
+def _refine(log_v: np.ndarray, coarse: GridGeometry) -> np.ndarray:
+    """A coarse log-scaling bilinearly interpolated onto the grid of twice its
+    sides, extrapolated linearly at the border, minus log 4.
+
+    Fine pixels 2i and 2i + 1 lie at coarse coordinates i - 1/4 and i + 1/4,
+    so along each axis they take 3/4 of coarse value i and 1/4 of its
+    neighbour.  That is exact for affine fields, such as the potentials of a
+    translation.  A fine pixel holds about a quarter of its coarse pixel's
+    mass on each side of the plan, hence the log 4.
+    """
+    grid = log_v.reshape(coarse.height, coarse.width)
+    for axis in (0, 1):
+        c = np.moveaxis(grid, axis, 0)
+        below = np.concatenate([2.0 * c[:1] - c[1:2], c[:-1]])
+        above = np.concatenate([c[1:], 2.0 * c[-1:] - c[-2:-1]])
+        fine = np.empty((2 * len(c),) + c.shape[1:])
+        fine[0::2] = 0.75 * c + 0.25 * below
+        fine[1::2] = 0.75 * c + 0.25 * above
+        grid = np.moveaxis(fine, 0, axis)
+    return grid.reshape(-1) - math.log(4.0)
+
+
 def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
              log_domain: bool = False) -> ScalingPair:
-    """Over-relaxed alternating diagonal scaling toward gamma = diag(u) xi diag(w).
+    """Over-relaxed alternating diagonal scaling toward gamma = diag(u) xi diag(w),
+    started from the solution of the 2x2-pooled problem where that pays.
+
+    Levels: while both sides are even, the pooled grid keeps at least 128 px
+    on its shorter side, and the kernel's standard deviation sqrt(eps / 2)
+    spans at least 2 pooled pixels, the solve first solves the 2x2
+    sum-pooled p and q on the grid of twice the pitch, with the same eps,
+    kernel mode and ``tol``, and recursively so.  Each finer level starts
+    from the coarser level's log u and log w, bilinearly interpolated (see
+    :func:`_refine`), in the arithmetic the coarser level finished in.  On
+    smaller grids, and at eps where the kernel is narrow against a pooled
+    pixel, the warm start costs more than it saves, so those solves run one
+    level from u = w = 1.  Every level runs the loop below in full: its own
+    six plain sweeps, its own omega and up to ``max_iter`` sweeps of its
+    own.  The returned ``iterations``, ``residual_history``, ``residual``,
+    ``converged`` and ``omega`` are the finest level's; ``coarse_iterations`` lists
+    the (width, height, sweeps) of each coarser level, coarsest first.
 
     Each sweep updates w <- w * (q / (w * xi^T u))^omega, then
     u <- u * (p / (u * xi w))^omega.  The first six sweeps are plain
@@ -357,7 +442,7 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
 
     Safeguard: a relaxed sweep whose scalings leave (0, inf) or whose error
     is not finite, or an error still above its value at the switch 50
-    relaxed sweeps later, restarts the solve from u = w = 1 with plain
+    relaxed sweeps later, restarts the level from its start with plain
     sweeps; only a switch to log-domain arithmetic (below) relaxes it again.
     A restart records the error of its start in place of the failed sweep's.
 
@@ -367,13 +452,14 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     at 512^2 and 2.35x at 64^2: the elementwise exp and log do not shrink
     with the skipped band zeros, and weigh more against the GEMMs on small
     grids.  A plain linear sweep whose scalings leave (0, inf)
-    restarts the solve from log u = 0 in log-domain arithmetic, with its own
-    six plain sweeps before omega is set, so it then repeats a
+    restarts the level from its start in log-domain arithmetic, with its own
+    six plain sweeps before omega is set, so a cold level then repeats a
     ``log_domain=True`` solve sweep for sweep; ``log_domain=True`` only
-    skips the linear attempt.  ``max_iter`` counts every sweep, and a
-    restart costs one extra kernel application; a solve that ``max_iter``
-    ends on a restart returns the projected start, u = p / (xi 1), w = 1,
-    with the start's error as ``residual``.
+    skips the linear attempt.  ``max_iter`` counts every sweep of a level,
+    and a restart costs two extra kernel applications; a solve that
+    ``max_iter`` ends on a restart returns the projected start,
+    u = p / (xi w0) for the level's start w0 (w0 = 1 on one level), with the
+    start's error as ``residual``.
     """
     if p.geometry != q.geometry:
         raise ValueError("source and target must share one grid geometry")
@@ -381,23 +467,47 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    levels = [(p, q)]
+    while _coarsens(levels[-1][0].geometry, kernel.epsilon):
+        levels.append((_pool(levels[-1][0]), _pool(levels[-1][1])))
+    zero = np.zeros(levels[-1][0].geometry.n)
+    start, coarse = (zero, zero), []
+    for lp, lq in reversed(levels[1:]):
+        pair = _solve_level(lp, lq, kernel, tol, max_iter, log_domain, start)
+        g = lp.geometry
+        coarse.append((g.width, g.height, pair.iterations))
+        start = _refine(pair.log_u, g), _refine(pair.log_w, g)
+        log_domain = pair.log_domain
+    pair = _solve_level(p, q, kernel, tol, max_iter, log_domain, start)
+    return replace(pair, coarse_iterations=tuple(coarse))
+
+
+def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
+                 max_iter: int, log_domain: bool,
+                 start: tuple[np.ndarray, np.ndarray]) -> ScalingPair:
+    """The Sinkhorn loop of :func:`sinkhorn` on one grid, from the log
+    scalings ``start = (log_u, log_w)``; restarts return to that start.
+    Arguments are not validated."""
     op = _make_operator(kernel, p.geometry)
 
     def arithmetic(log_domain):
         if log_domain:
-            return (op.log_apply, np.subtract, _exp_sum,
-                    np.log(p.mass), np.log(q.mass), np.zeros)
-        return op.apply, np.divide, np.multiply, p.mass, q.mass, np.ones
+            return (op.log_apply, np.subtract, _exp_sum, np.log(p.mass),
+                    np.log(q.mass))
+        return op.apply, np.divide, np.multiply, p.mass, q.mass
 
-    apply, divide, marginal, pv, qv, start = arithmetic(log_domain)
+    def begin(log_domain):
+        # formed on each use, so a linear level keeps no copy of its start
+        return start if log_domain else (np.exp(start[0]), np.exp(start[1]))
+
     history = []
     omega = 1.0        # above 1 only after the sweep relax_at raised it
     relax_at = _WARMUP  # the sweep that sets omega; None: plain for good
     # overflow is detected below, not by numpy warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # xi is symmetric, so at u = w = 1 both kernel sums are xi 1
-        u = w = start(p.geometry.n)
-        s = t = apply(u)
+        apply, divide, marginal, pv, qv = arithmetic(log_domain)
+        u, w = begin(log_domain)
+        t = apply(u)
         for iterations in range(1, max_iter + 1):
             w = _relax(w, divide(qv, t), omega, log_domain)
             s = apply(w)
@@ -412,13 +522,13 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
                         and err > history[relax_at - 1])):
                 if omega == 1.0:   # plain linear sweeps overflowed
                     log_domain = True
-                    apply, divide, marginal, pv, qv, start = arithmetic(True)
+                    apply, divide, marginal, pv, qv = arithmetic(True)
                     relax_at = iterations + _WARMUP
                 else:
                     relax_at = None
                 omega = 1.0
-                u = w = start(p.geometry.n)
-                s = t = apply(u)
+                u, w = begin(log_domain)
+                t, s = apply(u), apply(w)
                 history[-1] = (_l1(marginal(u, s), p.mass)
                                + _l1(marginal(w, t), q.mass))
                 continue

@@ -182,6 +182,27 @@ def test_summary_reports_relaxation_factor(tmp_path):
     assert identity["omega"] == 1.0
 
 
+@pytest.mark.parametrize("size, levels", [(256, [[128, 128]]), (128, [])])
+def test_solve_reports_coarse_levels(tmp_path, capsys, size, levels):
+    # a 256^2 pair at the default eps first solves its 128^2 pooled pair;
+    # a 128^2 pair is solved on its own grid only
+    g = GridGeometry(size, size, 250.0)
+    a, b = np.zeros((size, size)), np.zeros((size, size))
+    lo, hi, shift = size // 3, 2 * size // 3, size // 20
+    a[lo:hi, lo:hi] = b[lo:hi, lo + shift:hi + shift] = 200.0
+    save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
+    save_raster(IntensityRaster(g, b, 86400.0), tmp_path / "b.pgm")
+    prefix = str(tmp_path / "c_")
+    assert main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+                 "--out-prefix", prefix]) == 0
+    summary = json.loads(open(f"{prefix}summary.json").read())
+    coarse = summary["coarse_iterations"]
+    assert [level[:2] for level in coarse] == levels
+    assert all(level[2] > 0 for level in coarse)
+    printed = json.dumps(coarse, separators=(",", ":"))
+    assert f" coarse_iterations={printed} " in capsys.readouterr().out
+
+
 def test_solve_requires_forward_time(translate_pair, tmp_path, capsys):
     src, _ = translate_pair
     rc = main(["solve", src, src, "--out-prefix", str(tmp_path / "x_")])
@@ -588,6 +609,23 @@ def test_compare_features_rejects_malformed_rows(solved, tmp_path, capsys,
     rc = main(["compare-features", "--bundle", prefix, "--features", str(feats)])
     assert rc == 1
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "nan,3,8,3", "3,nan,8,3", "3,3,nan,3", "3,3,8,inf", "-inf,3,8,3",
+], ids=["nan_src_x", "nan_src_y", "nan_tgt_x", "inf_tgt_y", "-inf_src_x"])
+def test_compare_features_refuses_non_finite_values(solved, tmp_path, capsys,
+                                                    row):
+    # a non-finite source is not "outside the grid", and a non-finite target
+    # would make the median NaN, which strict JSON cannot hold
+    prefix, _ = solved
+    feats = tmp_path / "features.csv"
+    feats.write_text(f"src_x,src_y,tgt_x,tgt_y\n4,4,9,4\n{row}\n")
+    rc = main(["compare-features", "--bundle", prefix, "--features", str(feats)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{feats}, line 3: expected four finite numbers" in err
+    assert "outside the grid" not in err
 
 
 def test_compare_features_scores_ncc_too(solved, translate_pair, tmp_path):

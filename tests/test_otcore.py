@@ -12,8 +12,8 @@ from otvelo import (
 )
 from otvelo.oracle import _squared_distances
 from otvelo.otcore import (
-    _PATIENCE, _WARMUP, _make_operator, _out_of_range, _scaled_apply,
-    resolve_mode,
+    _PATIENCE, _WARMUP, _coarsens, _make_operator, _out_of_range, _refine,
+    _scaled_apply, _solve_level, resolve_mode,
 )
 
 
@@ -680,3 +680,130 @@ def test_scaled_apply_matches_linear_moments():
     for f, g in zip(moments, got):
         ref = np.exp(pair.log_u) * op.apply(np.exp(pair.log_w) * f)
         assert np.all(np.abs(g - ref) <= 1e-12 * ref)
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine warm start
+
+def _block_pair(width, height, shift):
+    """A square block of a third of the shorter side, moved ``shift`` px to
+    the right: the criterion-10 pair at other sizes."""
+    g = GridGeometry(width, height, 250.0)
+    side = min(width, height) // 3
+    y0, x0 = (height - side) // 2, (width - side) // 2
+    a, b = np.zeros((height, width)), np.zeros((height, width))
+    a[y0:y0 + side, x0:x0 + side] = 255.0
+    b[y0:y0 + side, x0 + shift:x0 + shift + side] = 255.0
+    return (normalize_to_mass(IntensityRaster(g, a, 0.0)),
+            normalize_to_mass(IntensityRaster(g, b, 86400.0)))
+
+
+def _cold(p, q, kernel, max_iter=1000, log_domain=False):
+    """The loop on the given grid only, from u = w = 1."""
+    start = np.zeros(p.geometry.n), np.zeros(p.geometry.n)
+    return _solve_level(p, q, kernel, 1e-6, max_iter, log_domain, start)
+
+
+@pytest.mark.parametrize("log_domain", [False, True], ids=["linear", "log"])
+def test_warm_start_matches_cold_solve(log_domain):
+    # 256^2 at eps 1e-3 solves the 128^2 pooled pair first; the fine level
+    # then takes 57 sweeps against 73 cold, to the same fixed point
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    warm = sinkhorn(p, q, k, log_domain=log_domain)
+    cold = _cold(p, q, k, log_domain=log_domain)
+    assert warm.converged and cold.converged
+    assert warm.log_domain == cold.log_domain == log_domain
+    (level,) = warm.coarse_iterations
+    assert level[:2] == (128, 128) and level[2] > 0
+    assert warm.iterations < cold.iterations
+    assert len(warm.residual_history) == warm.iterations
+    assert wasserstein_value(p, q, warm) == pytest.approx(
+        wasserstein_value(p, q, cold), rel=1e-8)
+    a = transport_distance(p, warm, q).target
+    b = transport_distance(p, cold, q).target
+    assert np.array_equal(a.valid, b.valid) and a.valid.any()
+    for got, ref in ((a.target_x, b.target_x), (a.target_y, b.target_y)):
+        px = np.abs(got - ref)[a.valid] / p.geometry.pitch
+        assert px.max() <= 1e-4
+
+
+@pytest.mark.parametrize("width, height, eps", [
+    (258, 257, 1e-3),   # an odd side
+    (128, 128, 1e-3),   # the pooled grid would have 64 px
+    (256, 256, 1e-4),   # sigma = sqrt(eps / 2) is 0.9 pooled px
+], ids=["odd_side", "128px", "narrow_kernel"])
+def test_solves_below_the_coarsening_rule_stay_cold(width, height, eps):
+    p, q = _block_pair(width, height, 6)
+    k = KernelSpec(eps, "conv")
+    assert not _coarsens(p.geometry, eps)
+    pair = sinkhorn(p, q, k, max_iter=60)
+    cold = _cold(p, q, k, max_iter=60)
+    assert pair.coarse_iterations == ()
+    assert pair.iterations == cold.iterations
+    assert np.array_equal(pair.log_u, cold.log_u)
+    assert np.array_equal(pair.log_w, cold.log_w)
+    assert np.array_equal(pair.residual_history, cold.residual_history)
+
+
+def test_coarsening_rule_boundaries():
+    # sigma = 2 pooled px at 256^2 is sqrt(eps / 2) = 4 / 256
+    edge = 2.0 * (4.0 / 256.0) ** 2
+    assert _coarsens(GridGeometry(256, 256, 1.0), edge * (1 + 1e-9))
+    assert not _coarsens(GridGeometry(256, 256, 1.0), edge * (1 - 1e-9))
+    assert _coarsens(GridGeometry(512, 256, 1.0), 1e-2)
+    assert not _coarsens(GridGeometry(512, 254, 1.0), 1e-2)
+    assert not _coarsens(GridGeometry(512, 255, 1.0), 1e-2)
+    assert not _coarsens(GridGeometry(511, 512, 1.0), 1e-2)
+
+
+def test_refine_reproduces_affine_fields():
+    # fine pixel j lies at coarse coordinate j / 2 - 1/4 on each axis, the
+    # border pixels included
+    coarse = GridGeometry(5, 4, 1.0)
+    rng = np.random.default_rng(21)
+    a, bx, by = rng.normal(size=3)
+    cy, cx = np.mgrid[0:4, 0:5]
+    fy, fx = np.mgrid[0:8, 0:10] / 2.0 - 0.25
+    got = _refine((a + bx * cx + by * cy).reshape(-1), coarse)
+    want = (a + bx * fx + by * fy).reshape(-1) - math.log(4.0)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_capped_coarse_level_hands_on_a_start():
+    # max_iter caps each level: the pooled level stops unconverged after 10
+    # sweeps, and its start still brings the fine level far closer than a
+    # cold start in as many sweeps
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    cut = sinkhorn(p, q, k, max_iter=10)
+    cold = _cold(p, q, k, max_iter=10)
+    assert cut.coarse_iterations == ((128, 128, 10),)
+    assert cut.iterations == 10 and not cut.converged
+    assert np.isfinite(cut.log_u).all() and np.isfinite(cut.log_w).all()
+    assert math.isfinite(cut.residual)
+    assert cut.residual < cold.residual / 5
+
+
+def test_level_starts_in_the_coarser_levels_arithmetic(monkeypatch):
+    # the 128^2 level overflows at its first linear sweep and goes on in log
+    # arithmetic; the 256^2 level then starts there, runs no linear sweep,
+    # and repeats the fine level of a log-domain solve sweep for sweep
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    log = sinkhorn(p, q, k, log_domain=True)
+    calls = []
+
+    def overflow_once(*vecs):
+        calls.append(1)
+        return len(calls) == 1
+
+    monkeypatch.setattr("otvelo.otcore._out_of_range", overflow_once)
+    pair = sinkhorn(p, q, k)
+    assert len(calls) == 1
+    assert pair.converged and pair.log_domain
+    ((width, height, sweeps),) = pair.coarse_iterations
+    assert log.coarse_iterations == ((width, height, sweeps - 1),)
+    assert pair.iterations == log.iterations
+    assert np.array_equal(pair.log_u, log.log_u)
+    assert np.array_equal(pair.log_w, log.log_w)
