@@ -53,7 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the sidecar timestamp difference, seconds")
 
     def add_solver_args(sp):
-        sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL)
+        sp.add_argument("--tol", type=_positive_float, default=otcore.DEFAULT_TOL,
+                        help="stop once the L1 marginal error is at most this "
+                             "(default %(default)g); strain maps want 1e-8, "
+                             "since at 1e-6 exy can move by a few per cent "
+                             "of its maximum")
         sp.add_argument("--max-iter", type=_positive_int,
                         default=otcore.DEFAULT_MAX_ITER)
         sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
@@ -153,6 +157,8 @@ def cmd_solve(args) -> int:
     src, tgt = _load_pair(args)
     dt = _time_step(args, src, tgt)
     g = src.geometry
+    if g.width < 3 or g.height < 3:
+        raise ValueError("strain needs at least a 3 x 3 grid")
 
     def to_mass(image):
         # --no-mask: every pixel counts as ice
@@ -161,26 +167,16 @@ def cmd_solve(args) -> int:
             image = raster.equalize_contrast(image, args.tile, args.clip_limit, mask)
         return raster.normalize_to_mass(image, args.floor, mask)
 
+    # each full-grid array is dropped once no later stage reads it, and each
+    # raster is written as soon as it exists
     p, q = to_mass(src), to_mass(tgt)
+    del src, tgt
     mode = otcore.resolve_mode(args.mode, g.n)
     kernel = otcore.KernelSpec(args.eps, mode)
     pair = otcore.sinkhorn(p, q, kernel, tol=args.tol, max_iter=args.max_iter,
                            log_domain=args.log_domain)
-
     summary = fields.transport_distance(p, pair, q=q, strict=False)
-    bmap = summary.target
-    vel = fields.velocity(bmap, g, dt)
-    st = fields.strain(vel, g, dt)
-    principal = (st.principal if args.principal_clip is None
-                 else fields.principal_strain(st, clip=args.principal_clip))
-
-    prefix = args.out_prefix
-    for name, data in (("cbar", summary.cbar),
-                       ("cbar_ms", fields.transport_speed(summary, g, dt)),
-                       ("vx", vel.vx), ("vy", vel.vy),
-                       ("exx", st.exx), ("eyy", st.eyy), ("exy", st.exy),
-                       ("principal", principal)):
-        raster.write_field(f"{prefix}{name}.f32", data, g)
+    del p, q
     report = {
         "w_eps": summary.w_eps,
         "iterations": pair.iterations,
@@ -196,22 +192,43 @@ def cmd_solve(args) -> int:
         "height": g.height,
         "pixel_size_m": g.pixel_size,
     }
-    Path(f"{prefix}summary.json").write_text(json.dumps(report, indent=2) + "\n")
+    del pair
+
+    def write(name, data):
+        raster.write_field(f"{args.out_prefix}{name}.f32", data, g)
+
+    write("cbar", summary.cbar)
+    write("cbar_ms", fields.transport_speed(summary, g, dt))
+    bmap = summary.target
+    del summary
+    vel = fields.velocity(bmap, g, dt)
+    valid = bmap.valid
+    del bmap
+    write("vx", vel.vx)
+    write("vy", vel.vy)
+    st = fields.strain(vel, g, dt)
+    write("exx", st.exx)
+    write("eyy", st.eyy)
+    write("exy", st.exy)
+    write("principal", st.principal if args.principal_clip is None
+          else fields.principal_strain(st, clip=args.principal_clip))
+    Path(f"{args.out_prefix}summary.json").write_text(
+        json.dumps(report, indent=2) + "\n")
 
     if args.vectors_csv:
         keep = np.zeros((g.height, g.width), dtype=bool)
         keep[::args.thin, ::args.thin] = True
-        keep = keep.reshape(-1) & bmap.valid & np.isfinite(vel.vx)
+        keep = keep.reshape(-1) & valid & np.isfinite(vel.vx)
         lines = ["x_px,y_px,vx_m_per_s,vy_m_per_s"] + [
             f"{i % g.width},{i // g.width},{vel.vx[i]:.9g},{vel.vy[i]:.9g}"
             for i in np.flatnonzero(keep)]
         Path(args.vectors_csv).write_text("\n".join(lines) + "\n")
 
     coarse = json.dumps(report["coarse_iterations"], separators=(",", ":"))
-    print(f"W_eps={summary.w_eps:.9g} iterations={pair.iterations} "
+    print(f"W_eps={report['w_eps']:.9g} iterations={report['iterations']} "
           f"coarse_iterations={coarse} "
-          f"residual={pair.residual:.3e} converged={pair.converged}")
-    if not pair.converged:
+          f"residual={report['residual']:.3e} converged={report['converged']}")
+    if not report["converged"]:
         advice = ""
         if mode == "conv":
             radius = otcore.required_truncation_radius(args.eps, g)

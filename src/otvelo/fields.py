@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .otcore import (ScalingPair, _require_converged, _scaled_apply,
-                     wasserstein_value)
+from .otcore import (ScalingPair, _make_operator, _require_converged,
+                     _scaled_apply, wasserstein_value)
 from .raster import GridGeometry, MassField
 
 # Pixels whose mass is below this multiple of the per-pixel floor contribution
@@ -69,10 +69,29 @@ def _valid_pixels(p: MassField) -> np.ndarray:
     return p.mask & (p.mass >= LOW_MASS_FACTOR * p.floor_mass)
 
 
-def _barycentric(p: MassField, kx: np.ndarray, ky: np.ndarray,
-                 valid: np.ndarray) -> BarycentricMap:
-    return BarycentricMap(np.where(valid, kx / p.mass, np.nan),
-                          np.where(valid, ky / p.mass, np.nan), valid)
+def _moments(p: MassField, pair: ScalingPair):
+    """The coupling moment u * xi(w * f) of ``pair`` as a function of log f,
+    through one kernel operator.  log f broadcasts against the (height,
+    width) grid: a row or a column of log factors gives a new grid, and a
+    full grid is overwritten with its moment."""
+    g = p.geometry
+    op = _make_operator(pair.kernel, g)
+    log_w = pair.log_w.reshape(g.height, g.width)
+
+    def moment(log_f: np.ndarray) -> np.ndarray:
+        out = log_f if log_f.shape == log_w.shape else None
+        log_wf = np.add(log_w, log_f, out=out).reshape(-1)
+        return _scaled_apply(op, pair.log_u, log_wf).reshape(log_w.shape)
+
+    return moment
+
+
+def _target(moment: np.ndarray, mass: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """A barycentric coordinate moment / p as a flat array, NaN outside
+    ``valid``."""
+    out = moment / mass
+    out[~valid] = np.nan
+    return out.reshape(-1)
 
 
 def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
@@ -85,17 +104,39 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
 
     so the three coupling moments u * xi(w * f), f = x, y, |x|^2, give the
     cost map, and the first two give the barycentric map as well.  Pixel
-    centers are positive, so these fields have finite logs.
+    centers are positive, so these fields have finite logs.  The moments are
+    formed one at a time and folded into the map as each arrives; x and y
+    enter as a row and a column of log factors.
     """
     _require_converged(pair, "transport cost", strict)
-    x, y = p.geometry.pixel_centers()
+    g = p.geometry
+    x, y = g._axis_centers()
+    y = y[:, None]
+    mass = p.mass.reshape(g.height, g.width)
+    valid = _valid_pixels(p).reshape(g.height, g.width)
+    moment = _moments(p, pair)
+    # rows = |x|^2 p - 2 (x kx + y ky) + ks, summed in this order
+    acc = moment(np.log(x))
+    target_x = _target(acc, mass, valid)
+    acc *= x
+    k = moment(np.log(y))
+    target_y = _target(k, mass, valid)
+    k *= y
+    acc += k
+    del k
+    acc *= 2.0
     sq = x * x + y * y
-    kx, ky, ks = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y, sq)
-    rows = sq * p.mass - 2.0 * (x * kx + y * ky) + ks
-    valid = _valid_pixels(p)
-    cbar = np.where(valid, np.maximum(rows, 0.0) / p.mass, np.nan)
+    rows = sq * mass
+    rows -= acc
+    del acc
+    rows += moment(np.log(sq, out=sq))
+    np.maximum(rows, 0.0, out=rows)
+    rows /= mass
+    rows[~valid] = np.nan
+    valid = valid.reshape(-1)
     w_eps = wasserstein_value(p, q, pair, strict=strict)
-    return TransportSummary(w_eps, cbar, valid, _barycentric(p, kx, ky, valid))
+    return TransportSummary(w_eps, rows.reshape(-1), valid,
+                            BarycentricMap(target_x, target_y, valid))
 
 
 def transport_speed(summary: TransportSummary, geometry: GridGeometry,
@@ -117,18 +158,29 @@ def barycentric_map(p: MassField, pair: ScalingPair,
     feeds this function).
     """
     _require_converged(pair, "barycentric map", strict)
-    x, y = p.geometry.pixel_centers()
-    kx, ky = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, x, y)
-    return _barycentric(p, kx, ky, _valid_pixels(p))
+    g = p.geometry
+    x, y = g._axis_centers()
+    mass = p.mass.reshape(g.height, g.width)
+    valid = _valid_pixels(p)
+    grid_valid = valid.reshape(g.height, g.width)
+    moment = _moments(p, pair)
+    return BarycentricMap(_target(moment(np.log(x)), mass, grid_valid),
+                          _target(moment(np.log(y)[:, None]), mass, grid_valid),
+                          valid)
 
 
 def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> VelocityField:
     """Velocity (x_q - x_p) * norm_scale / dt at each source pixel, m/s."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
-    x, y = geometry.pixel_centers()
+    x, y = geometry._axis_centers()
+    shape = (geometry.height, geometry.width)
     scale = geometry.norm_scale / dt
-    return VelocityField((bmap.target_x - x) * scale, (bmap.target_y - y) * scale, dt)
+    vx = bmap.target_x.reshape(shape) - x
+    vx *= scale
+    vy = bmap.target_y.reshape(shape) - y[:, None]
+    vy *= scale
+    return VelocityField(vx.reshape(-1), vy.reshape(-1), dt)
 
 
 def strain(vel: VelocityField, geometry: GridGeometry, dt: float) -> StrainField:

@@ -38,7 +38,15 @@ with the same eps and kernel mode; each finer level starts from the coarser
 level's log u and log w, bilinearly interpolated, minus log 4.  Each level
 runs the loop above in full, with its own ``max_iter`` sweeps.  On the 512^2
 block pair at eps = 1e-3 the finest level takes 16 sweeps against 71 cold.
-Smaller grids, odd sides and narrower kernels keep one level.
+Smaller grids, odd sides and narrower kernels keep one level.  A coarser
+level's scalings stay at their own size; the finer level refines them into
+its u and w on each (re)start.
+
+A level works in a fixed set of grids: u, w, xi w, xi^T u, one spare for
+the marginal error and the relaxation, and the kernel operator's scratch
+grid for the first of its two passes.  The kernel applications write into
+the grid they replace, so a linear sweep makes no new array; a log-domain
+sweep makes one per application, the first pass's product.
 
 Because the squared Euclidean cost separates along axes, xi is exactly the
 Kronecker product of two 1-D Gaussian kernels (Solomon et al. 2015,
@@ -186,26 +194,35 @@ def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
 
 class _SeparableOperator:
     """xi as two banded 1-D Gaussian passes of the given radius in px; memory
-    stays O(N)."""
+    stays O(N): one band matrix per axis (one for both on a square grid)
+    and one scratch grid."""
 
     def __init__(self, spec: KernelSpec, geometry: GridGeometry, radius: int):
         self.radius = radius
         self.shape = (geometry.height, geometry.width)
         pitch = geometry.pitch
         self.band_x = self._band(geometry.width, radius, pitch, spec.epsilon)
-        self.band_y = self._band(geometry.height, radius, pitch, spec.epsilon)
         self.spans_x = self._spans(self.band_x)
-        self.spans_y = self._spans(self.band_y)
+        if geometry.height == geometry.width:
+            self.band_y, self.spans_y = self.band_x, self.spans_x
+        else:
+            self.band_y = self._band(geometry.height, radius, pitch, spec.epsilon)
+            self.spans_y = self._spans(self.band_y)
         self.pitch = pitch
         self.epsilon = spec.epsilon
+        # the first pass of every apply and log_apply lands here, so neither
+        # is reentrant
+        self._scratch = np.empty(geometry.n)
 
     @staticmethod
     def _band(n: int, radius: int, pitch: float, epsilon: float) -> np.ndarray:
-        idx = np.arange(n)
-        offsets = idx[:, None] - idx[None, :]
-        band = np.exp(-(offsets * pitch) ** 2 / epsilon)
-        band[np.abs(offsets) > radius] = 0.0
-        return band
+        """The symmetric Toeplitz matrix band[i, j] = weight[i - j], made
+        from its 2n - 1 weights."""
+        offsets = np.arange(1 - n, n)
+        weights = np.exp(-(offsets * pitch) ** 2 / epsilon)
+        weights[np.abs(offsets) > radius] = 0.0
+        # row i is weights[n - 1 - i:2n - 1 - i], read backwards: weight[j - i]
+        return np.lib.stride_tricks.sliding_window_view(weights, n)[::-1].copy()
 
     @staticmethod
     def _spans(band: np.ndarray) -> list[tuple[int, int, int, int]] | None:
@@ -224,41 +241,52 @@ class _SeparableOperator:
         return None if covered > _FULL_SPAN * n * n else spans
 
     @staticmethod
-    def _band_product(band: np.ndarray, spans: list | None,
-                      grid: np.ndarray) -> np.ndarray:
-        """band @ grid, one GEMM per row block over its nonzero column span;
-        only exact zeros are skipped."""
+    def _band_product(band: np.ndarray, spans: list | None, grid: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """band @ grid, one GEMM per row block over its nonzero column span,
+        into ``out`` if given; only exact zeros are skipped."""
         if spans is None:
-            return band @ grid
-        out = np.empty((len(band), grid.shape[1]))
+            return np.matmul(band, grid, out=out)
+        if out is None:
+            out = np.empty((len(band), grid.shape[1]))
         for r0, r1, c0, c1 in spans:
             np.matmul(band[r0:r1, c0:c1], grid[c0:c1], out=out[r0:r1])
         return out
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """xi v, written into ``out``, a flat array (which may be ``v``), if
+        given."""
         grid = v.reshape(self.shape)
+        h, w = self.shape
+        out = None if out is None else out.reshape(self.shape)
         if self.spans_x is None and self.spans_y is None:
             # no transposed operands: faster on small grids (0.020 against
             # 0.032 ms at 64^2)
-            return (self.band_y @ grid @ self.band_x).reshape(-1)
+            first = np.matmul(self.band_y, grid, out=self._scratch.reshape(h, w))
+            return np.matmul(first, self.band_x, out=out).reshape(-1)
         # rows first, on the transposed grid (the bands are symmetric), then
         # columns, as in log_apply, so the result comes out C-ordered
-        grid = self._band_product(self.band_x, self.spans_x, grid.T)
-        return self._band_product(self.band_y, self.spans_y, grid.T).reshape(-1)
+        first = self._band_product(self.band_x, self.spans_x, grid.T,
+                                   self._scratch.reshape(w, h))
+        return self._band_product(self.band_y, self.spans_y, first.T,
+                                  out).reshape(-1)
 
-    def _log_pass(self, grid: np.ndarray, band: np.ndarray,
-                  spans: list | None) -> np.ndarray:
+    def _log_pass(self, grid: np.ndarray, band: np.ndarray, spans: list | None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """log(band @ exp(grid)) down each column, as one max-shifted
-        :meth:`_band_product`.
+        :meth:`_band_product`, into ``out`` if given (``out`` may hold the
+        input of an earlier pass, not ``grid``).
 
         A shifted sum below _UNDERFLOW_SUM underflowed or went denormal, so
         those entries are recomputed as an exact log-sum-exp over their
         2r + 1 band offsets, padded with -inf at the edges.
         """
         top = grid.max(axis=0)
-        s = grid - top
+        # laid out like ``grid``, a transposed view, as ``grid - top`` would
+        # be: the order in which the GEMM sums depends on the layout
+        s = np.subtract(grid, top, out=self._scratch.reshape(grid.shape[::-1]).T)
         np.exp(s, out=s)
-        s = self._band_product(band, spans, s)
+        s = self._band_product(band, spans, s, out)
         low = s < _UNDERFLOW_SUM
         np.maximum(s, _UNDERFLOW_SUM, out=s)
         np.log(s, out=s)
@@ -278,11 +306,13 @@ class _SeparableOperator:
                 s[i, j] = np.log(np.exp(win - m).sum(axis=1, keepdims=True)) + m
         return s
 
-    def log_apply(self, lv: np.ndarray) -> np.ndarray:
+    def log_apply(self, lv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """log(xi exp(lv)) through the band matrices of :meth:`apply`: rows
-        first (on the transposed grid), then columns."""
+        first (on the transposed grid), then columns; written into ``out``,
+        a flat array (which may be ``lv``), if given."""
         grid = self._log_pass(lv.reshape(self.shape).T, self.band_x, self.spans_x)
-        return self._log_pass(grid.T, self.band_y, self.spans_y).reshape(-1)
+        out = None if out is None else out.reshape(self.shape)
+        return self._log_pass(grid.T, self.band_y, self.spans_y, out).reshape(-1)
 
 
 def _make_operator(spec: KernelSpec, geometry: GridGeometry) -> _SeparableOperator:
@@ -328,26 +358,23 @@ def _relaxation_factor(history: list[float]) -> float:
     return min(2.0 / (1.0 + math.sqrt(1.0 - math.sqrt(eta))), _OMEGA_MAX)
 
 
-def _relax(old: np.ndarray, new: np.ndarray, omega: float,
-           log_domain: bool) -> np.ndarray:
-    """old * (new / old)^omega, or old + omega * (new - old) in logs, formed
-    in place in ``new``; omega = 1 leaves ``new`` as it is."""
-    if omega == 1.0:
-        return new
+def _relax(v: np.ndarray, new: np.ndarray, omega: float,
+           log_domain: bool) -> None:
+    """v <- v * (new / v)^omega, or v + omega * (new - v) in logs, in place;
+    overwrites ``new``."""
     if log_domain:
-        new -= old
+        new -= v
         new *= omega
-        new += old
+        v += new
     else:
-        new /= old
+        new /= v
         new **= omega
-        new *= old
-    return new
+        v *= new
 
 
-def _exp_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(a + b) in one new array: the marginal u * xi w from logs."""
-    out = a + b
+def _exp_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(a + b) into ``out``: the marginal u * xi w from logs."""
+    np.add(a, b, out=out)
     return np.exp(out, out=out)
 
 
@@ -379,9 +406,11 @@ def _pool(field: MassField) -> MassField:
                      field.floor)
 
 
-def _refine(log_v: np.ndarray, coarse: GridGeometry) -> np.ndarray:
+def _refine(log_v: np.ndarray, coarse: GridGeometry,
+            out: np.ndarray | None = None) -> np.ndarray:
     """A coarse log-scaling bilinearly interpolated onto the grid of twice its
-    sides, extrapolated linearly at the border, minus log 4.
+    sides, extrapolated linearly at the border, minus log 4; written into
+    ``out``, a flat array of the fine size, if given.
 
     Fine pixels 2i and 2i + 1 lie at coarse coordinates i - 1/4 and i + 1/4,
     so along each axis they take 3/4 of coarse value i and 1/4 of its
@@ -389,16 +418,27 @@ def _refine(log_v: np.ndarray, coarse: GridGeometry) -> np.ndarray:
     translation.  A fine pixel holds about a quarter of its coarse pixel's
     mass on each side of the plan, hence the log 4.
     """
-    grid = log_v.reshape(coarse.height, coarse.width)
-    for axis in (0, 1):
-        c = np.moveaxis(grid, axis, 0)
-        below = np.concatenate([2.0 * c[:1] - c[1:2], c[:-1]])
-        above = np.concatenate([c[1:], 2.0 * c[-1:] - c[-2:-1]])
-        fine = np.empty((2 * len(c),) + c.shape[1:])
-        fine[0::2] = 0.75 * c + 0.25 * below
-        fine[1::2] = 0.75 * c + 0.25 * above
-        grid = np.moveaxis(fine, 0, axis)
-    return grid.reshape(-1) - math.log(4.0)
+    height, width = 2 * coarse.height, 2 * coarse.width
+    rows = np.empty((height, coarse.width))
+    _refine_axis(log_v.reshape(coarse.height, coarse.width), rows)
+    fine = np.empty((height, width)) if out is None else out.reshape(height, width)
+    _refine_axis(rows.T, fine.T)
+    fine -= math.log(4.0)
+    return fine.reshape(-1)
+
+
+def _refine_axis(c: np.ndarray, fine: np.ndarray) -> None:
+    """Along axis 0, fine[2i] = 3/4 c[i] + 1/4 c[i - 1] and
+    fine[2i + 1] = 3/4 c[i] + 1/4 c[i + 1], where c[-1] and c[n] extrapolate
+    linearly (2 c[0] - c[1] and 2 c[n - 1] - c[n - 2]); the 3/4 terms are
+    formed in ``fine`` itself."""
+    np.multiply(c, 0.75, out=fine[0::2])
+    fine[1::2] = fine[0::2]
+    far = 0.25 * c
+    fine[2::2] += far[:-1]
+    fine[1:-1:2] += far[1:]
+    fine[0] += 0.25 * (2.0 * c[0] - c[1])
+    fine[-1] += 0.25 * (2.0 * c[-1] - c[-2])
 
 
 def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
@@ -467,28 +507,34 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    levels = [(p, q)]
-    while _coarsens(levels[-1][0].geometry, kernel.epsilon):
-        levels.append((_pool(levels[-1][0]), _pool(levels[-1][1])))
-    zero = np.zeros(levels[-1][0].geometry.n)
-    start, coarse = (zero, zero), []
-    for lp, lq in reversed(levels[1:]):
-        pair = _solve_level(lp, lq, kernel, tol, max_iter, log_domain, start)
-        g = lp.geometry
-        coarse.append((g.width, g.height, pair.iterations))
-        start = _refine(pair.log_u, g), _refine(pair.log_w, g)
-        log_domain = pair.log_domain
-    pair = _solve_level(p, q, kernel, tol, max_iter, log_domain, start)
-    return replace(pair, coarse_iterations=tuple(coarse))
+    return _solve(p, q, kernel, tol, max_iter, log_domain)
+
+
+def _solve(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
+           max_iter: int, log_domain: bool) -> ScalingPair:
+    """:func:`sinkhorn` on validated arguments, coarsest level first; a
+    level's pooled fields are dropped once it is solved."""
+    if not _coarsens(p.geometry, kernel.epsilon):
+        zero = np.broadcast_to(0.0, (p.geometry.n,))
+        return _solve_level(p, q, kernel, tol, max_iter, log_domain, (zero, zero))
+    coarse = _solve(_pool(p), _pool(q), kernel, tol, max_iter, log_domain)
+    pair = _solve_level(p, q, kernel, tol, max_iter, coarse.log_domain,
+                        (coarse.log_u, coarse.log_w))
+    g = p.geometry
+    level = (g.width // 2, g.height // 2, coarse.iterations)
+    return replace(pair, coarse_iterations=coarse.coarse_iterations + (level,))
 
 
 def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                  max_iter: int, log_domain: bool,
                  start: tuple[np.ndarray, np.ndarray]) -> ScalingPair:
     """The Sinkhorn loop of :func:`sinkhorn` on one grid, from the log
-    scalings ``start = (log_u, log_w)``; restarts return to that start.
-    Arguments are not validated."""
-    op = _make_operator(kernel, p.geometry)
+    scalings ``start = (log_u, log_w)``, given on this grid or on its
+    2x2-pooled grid (then refined on each use); restarts return to that
+    start.  s = xi w and t = xi^T u.  Arguments are not validated."""
+    g = p.geometry
+    op = _make_operator(kernel, g)
+    u, w = np.empty(g.n), np.empty(g.n)
 
     def arithmetic(log_domain):
         if log_domain:
@@ -497,8 +543,26 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
         return op.apply, np.divide, np.multiply, p.mass, q.mass
 
     def begin(log_domain):
-        # formed on each use, so a linear level keeps no copy of its start
-        return start if log_domain else (np.exp(start[0]), np.exp(start[1]))
+        """u and w from the start."""
+        for v, log_v in zip((u, w), start):
+            if log_v.size == g.n:
+                np.copyto(v, log_v)
+            else:
+                coarse = GridGeometry(g.width // 2, g.height // 2, 2.0 * g.pixel_size)
+                _refine(log_v, coarse, out=v)
+            if not log_domain:
+                np.exp(v, out=v)
+
+    def scale(v, k, target):
+        """v <- v * (target / (v * k))^omega: the update of one side."""
+        if omega == 1.0:
+            divide(target, k, out=v)
+        else:
+            _relax(v, divide(target, k, out=spare), omega, log_domain)
+
+    def error():
+        return (_l1(marginal(u, s, out=spare), p.mass)
+                + _l1(marginal(w, t, out=spare), q.mass))
 
     history = []
     omega = 1.0        # above 1 only after the sweep relax_at raised it
@@ -506,14 +570,16 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
     # overflow is detected below, not by numpy warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         apply, divide, marginal, pv, qv = arithmetic(log_domain)
-        u, w = begin(log_domain)
-        t = apply(u)
+        begin(log_domain)
+        # made once the start is refined, whose temporaries are gone by then
+        s, t, spare = (np.empty(g.n) for _ in range(3))
+        apply(u, out=t)
         for iterations in range(1, max_iter + 1):
-            w = _relax(w, divide(qv, t), omega, log_domain)
-            s = apply(w)
-            u = _relax(u, divide(pv, s), omega, log_domain)
-            t = apply(u)
-            err = _l1(marginal(u, s), p.mass) + _l1(marginal(w, t), q.mass)
+            scale(w, t, qv)
+            apply(w, out=s)
+            scale(u, s, pv)
+            apply(u, out=t)
+            err = error()
             history.append(err)
             bad = not log_domain and _out_of_range(w, s, u, t)
             if bad or omega > 1.0 and (
@@ -527,30 +593,32 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                 else:
                     relax_at = None
                 omega = 1.0
-                u, w = begin(log_domain)
-                t, s = apply(u), apply(w)
-                history[-1] = (_l1(marginal(u, s), p.mass)
-                               + _l1(marginal(w, t), q.mass))
+                begin(log_domain)
+                apply(u, out=t)
+                apply(w, out=s)
+                history[-1] = error()
                 continue
             if err <= tol:
                 break
             if iterations == relax_at:
                 omega = _relaxation_factor(history[-_WARMUP:])
-        u = divide(pv, s)
+        divide(pv, s, out=u)
     if not log_domain:
-        u, w = np.log(u), np.log(w)
+        np.log(u, out=u)
+        np.log(w, out=w)
     residual = history[-1]
     return ScalingPair(u, w, iterations, residual, residual <= tol, kernel,
                        np.asarray(history), log_domain, omega)
 
 
-def _scaled_apply(log_a: np.ndarray, log_b: np.ndarray, pair: ScalingPair,
-                  geometry: GridGeometry, *fields: np.ndarray) -> list[np.ndarray]:
-    """a * xi(b * f) for each positive field f, as
+def _scaled_apply(op: _SeparableOperator, log_a: np.ndarray,
+                  log_bf: np.ndarray) -> np.ndarray:
+    """a * xi(b * f) from log_bf = log(b * f), a flat array, as
     exp(log a + logsumexp(log b + log f)), which stays finite however far a
-    and b spread."""
-    op = _make_operator(pair.kernel, geometry)
-    return [np.exp(log_a + op.log_apply(log_b + np.log(f))) for f in fields]
+    and b spread; formed in ``log_bf``, which it overwrites."""
+    m = op.log_apply(log_bf, out=log_bf)
+    m += log_a
+    return np.exp(m, out=m)
 
 
 def _require_converged(pair: ScalingPair, what: str, strict: bool) -> None:

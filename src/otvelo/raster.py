@@ -76,10 +76,16 @@ class GridGeometry:
 
     def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat row-major arrays of normalized pixel-center coordinates."""
-        idx = np.arange(self.n)
-        ix = idx % self.width
-        iy = idx // self.width
-        return (ix + 0.5) * self.pitch, (iy + 0.5) * self.pitch
+        cx, cy = self._axis_centers()
+        return np.tile(cx, self.height), np.repeat(cy, self.width)
+
+    def _axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized center coordinates of the columns (``width`` values)
+        and of the rows (``height`` values): the x and y of
+        :meth:`pixel_centers`, which broadcast against a (height, width)
+        grid as ``cx`` and ``cy[:, None]``."""
+        return ((np.arange(self.width) + 0.5) * self.pitch,
+                (np.arange(self.height) + 0.5) * self.pitch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +228,13 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
     # Exactly one whitespace byte separates the header from the payload.
     if pos >= len(raw) or raw[pos:pos + 1] not in b" \t\r\n":
         raise FormatError(f"{path}: missing separator before PGM payload")
-    payload = raw[pos + 1:]
-    if len(payload) != width * height:
+    size = len(raw) - pos - 1
+    if size != width * height:
         raise TruncationError(
-            f"{path}: header promises {width * height} pixels, payload holds {len(payload)} bytes"
+            f"{path}: header promises {width * height} pixels, payload holds {size} bytes"
         )
-    values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(height, width)
+    values = np.frombuffer(raw, dtype=np.uint8, offset=pos + 1).astype(np.float64)
+    values = values.reshape(height, width)
 
     meta_path = _sidecar_path(path, meta_path)
     meta = _read_sidecar(meta_path, ("pixel_size_m", "timestamp_s"))
@@ -381,8 +388,11 @@ def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry,
     """
     path = Path(path)
     data = np.asarray(values, dtype=np.float64).reshape(geometry.height, geometry.width)
-    data = np.where(np.isnan(data), NODATA, data).astype("<f4")
-    path.write_bytes(data.tobytes(order="C"))
+    # NaN stays NaN in float32, so the sentinel goes in after the cast
+    data = data.astype("<f4")
+    data[np.isnan(data)] = NODATA
+    with open(path, "wb") as fh:
+        data.tofile(fh)
     _sidecar_path(path, meta_path).write_text(json.dumps({
         "width": geometry.width,
         "height": geometry.height,

@@ -153,9 +153,9 @@ def test_solve_apply_budget(translate_pair, tmp_path, monkeypatch, log_domain):
     for name in ("apply", "log_apply"):
         original = getattr(otcore._SeparableOperator, name)
 
-        def counted(self, v, _original=original):
+        def counted(self, v, *args, _original=original, **kwargs):
             calls.append(1)
-            return _original(self, v)
+            return _original(self, v, *args, **kwargs)
 
         monkeypatch.setattr(otcore._SeparableOperator, name, counted)
     prefix = str(tmp_path / "n_")
@@ -201,6 +201,27 @@ def test_solve_reports_coarse_levels(tmp_path, capsys, size, levels):
     assert all(level[2] > 0 for level in coarse)
     printed = json.dumps(coarse, separators=(",", ":"))
     assert f" coarse_iterations={printed} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("width, height", [(2, 2), (8, 2), (2, 8)])
+def test_solve_refuses_grid_under_3x3_before_solving(tmp_path, capsys,
+                                                      monkeypatch, width, height):
+    # strain's stencils need three pixels per axis: the size is checked on
+    # loading, so no solve runs and no raster lands on disk
+    calls = []
+    monkeypatch.setattr(otcore, "sinkhorn", lambda *a, **k: calls.append(1))
+    g = GridGeometry(width, height, 250.0)
+    a = np.zeros((height, width))
+    a[0, 0] = 255.0
+    save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
+    save_raster(IntensityRaster(g, a[::-1, ::-1], 86400.0), tmp_path / "b.pgm")
+    rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+               "--out-prefix", str(tmp_path / "o_")])
+    assert rc == 1
+    assert "strain needs at least a 3 x 3 grid" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.json", "a.pgm", "b.json", "b.pgm"]
 
 
 def test_solve_requires_forward_time(translate_pair, tmp_path, capsys):

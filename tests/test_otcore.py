@@ -75,9 +75,9 @@ def coupling_marginals(p, pair):
     """Row and column sums u * xi(w) and w * xi(u) of the plan (xi is
     symmetric), through the solve's own kernel operator, from the log
     scalings as the derived fields form them."""
-    ones = np.ones(p.geometry.n)
-    (row,) = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, ones)
-    (col,) = _scaled_apply(pair.log_w, pair.log_u, pair, p.geometry, ones)
+    op = _make_operator(pair.kernel, p.geometry)
+    row = _scaled_apply(op, pair.log_u, pair.log_w.copy())
+    col = _scaled_apply(op, pair.log_w, pair.log_u.copy())
     return row, col
 
 
@@ -206,6 +206,65 @@ def test_single_product_apply_is_unchanged(geometry, eps, mode):
     grid = v.reshape(geometry.height, geometry.width)
     ref = (op.band_y @ grid @ op.band_x).reshape(-1)
     assert np.array_equal(op.apply(v), ref)
+
+
+@pytest.mark.parametrize("n, eps, mode", [
+    (9, 1e-2, "dense"), (300, 1e-3, "conv"), (140, 1e-4, "dense"), (512, 1e-3, "conv"),
+])
+def test_band_from_weights_matches_offset_formula(n, eps, mode):
+    # the Toeplitz band is made from its 2n - 1 weights, bit for bit the
+    # weights of the n x n offset formula, truncated at the same radius
+    g = GridGeometry(n, n, 250.0)
+    op = _make_operator(KernelSpec(eps, mode), g)
+    idx = np.arange(n)
+    offsets = idx[:, None] - idx[None, :]
+    ref = np.exp(-(offsets * g.pitch) ** 2 / eps)
+    ref[np.abs(offsets) > op.radius] = 0.0
+    assert np.array_equal(op.band_x, ref)
+    assert op.band_y is op.band_x   # a square grid keeps one band
+
+
+@pytest.mark.parametrize("geometry, eps, mode", [
+    (TILED, 1e-3, "conv"),                       # tiled passes
+    (GridGeometry(64, 48, 250.0), 1e-2, "dense"),  # one product per pass
+])
+def test_apply_into_out_matches_a_new_array(geometry, eps, mode):
+    # a result written into a given array (even the input) is the result
+    # returned as a new array, bit for bit, in both arithmetics; the
+    # spread of 1e4 takes the exact underflow fallback
+    op = _make_operator(KernelSpec(eps, mode), geometry)
+    rng = np.random.default_rng(12)
+    v = rng.uniform(0.0, 1.0, geometry.n)
+    ref = op.apply(v)
+    out = np.empty(geometry.n)
+    op.apply(v, out=out)
+    assert np.array_equal(out, ref)
+    op.apply(v, out=v)
+    assert np.array_equal(v, ref)
+    for spread in (30.0, 1e4):
+        lv = rng.uniform(-spread, spread, geometry.n)
+        ref = op.log_apply(lv)
+        op.log_apply(lv, out=out)
+        assert np.array_equal(out, ref)
+        op.log_apply(lv, out=lv)
+        assert np.array_equal(lv, ref)
+
+
+@pytest.mark.parametrize("geometry, eps, mode", [
+    (TILED, 1e-4, "dense"), (TILED, 1e-3, "conv"),
+    (GridGeometry(64, 48, 250.0), 1e-2, "dense"),
+])
+def test_log_apply_is_the_plain_max_shifted_product(geometry, eps, mode):
+    # away from underflow each pass is log(band @ exp(grid - top)) + top
+    # with numpy's own temporaries, bit for bit: the shifted grid the GEMM
+    # reads keeps the transposed layout of ``grid - top``
+    op = _make_operator(KernelSpec(eps, mode), geometry)
+    lv = np.random.default_rng(13).uniform(-30.0, 30.0, geometry.n)
+    grid = lv.reshape(op.shape).T
+    for band, spans in ((op.band_x, op.spans_x), (op.band_y, op.spans_y)):
+        top = grid.max(axis=0)
+        grid = (np.log(op._band_product(band, spans, np.exp(grid - top))) + top).T
+    assert np.array_equal(op.log_apply(lv), grid.T.reshape(-1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -676,7 +735,7 @@ def test_scaled_apply_matches_linear_moments():
     op = _make_operator(pair.kernel, p.geometry)
     x, y = p.geometry.pixel_centers()
     moments = (x, y, x * x + y * y)
-    got = _scaled_apply(pair.log_u, pair.log_w, pair, p.geometry, *moments)
+    got = [_scaled_apply(op, pair.log_u, pair.log_w + np.log(f)) for f in moments]
     for f, g in zip(moments, got):
         ref = np.exp(pair.log_u) * op.apply(np.exp(pair.log_w) * f)
         assert np.all(np.abs(g - ref) <= 1e-12 * ref)

@@ -37,6 +37,19 @@ def test_geometry_basics():
     assert xs.max() == pytest.approx(7.5 / 8)
 
 
+def test_pixel_centers_match_flat_index_formula():
+    # built from one arange per axis; the values are those of the flat
+    # index formula, bit for bit, on a grid wider than tall and one taller
+    for g in (GridGeometry(7, 3, 250.0), GridGeometry(5, 11, 30.0)):
+        idx = np.arange(g.n)
+        xs, ys = g.pixel_centers()
+        assert np.array_equal(xs, (idx % g.width + 0.5) * g.pitch)
+        assert np.array_equal(ys, (idx // g.width + 0.5) * g.pitch)
+        cx, cy = g._axis_centers()
+        assert np.array_equal(np.broadcast_to(cx, (g.height, g.width)).reshape(-1), xs)
+        assert np.array_equal(np.broadcast_to(cy[:, None], (g.height, g.width)).reshape(-1), ys)
+
+
 @pytest.mark.parametrize("width,height,pixel", [
     (0, 4, 250.0), (4, 0, 250.0), (1, 1, 250.0), (4, 4, 0.0),
     (4, 4, -1.0), (4, 4, float("nan")),
@@ -336,6 +349,19 @@ def test_field_round_trip_with_nan(tmp_path):
     finite = ~np.isnan(vals)
     assert np.allclose(back.reshape(-1)[finite],
                        vals[finite].astype(np.float32), rtol=0, atol=0)
+
+
+def test_field_bytes_match_float64_sentinel_formula(tmp_path):
+    # the sentinel goes in after the float32 cast; the bytes are those of
+    # substituting it in float64 first, infinities and overflow included
+    g = GridGeometry(4, 3, 250.0)
+    vals = np.array([0.1, -2.5, np.nan, 1e39, -1e39, np.inf, -np.inf, 3e-46,
+                     np.nan, 7.0, -0.0, 1.0 / 3.0])
+    path = tmp_path / "f.f32"
+    with np.errstate(over="ignore"):
+        write_field(path, vals, g)
+        ref = np.where(np.isnan(vals), -3.4e38, vals).astype("<f4").tobytes()
+    assert path.read_bytes() == ref
 
 
 def test_field_read_errors(tmp_path):
