@@ -169,14 +169,17 @@ def cmd_solve(args) -> int:
 
     # each full-grid array is dropped once no later stage reads it, and each
     # raster is written as soon as it exists
-    p, q = to_mass(src), to_mass(tgt)
+    masses = [to_mass(src), to_mass(tgt)]
     del src, tgt
     mode = otcore.resolve_mode(args.mode, g.n)
     kernel = otcore.KernelSpec(args.eps, mode)
-    pair = otcore.sinkhorn(p, q, kernel, tol=args.tol, max_iter=args.max_iter,
+    pair = otcore.sinkhorn(*masses, kernel, tol=args.tol, max_iter=args.max_iter,
                            log_domain=args.log_domain)
-    summary = fields.transport_distance(p, pair, q=q, strict=False)
-    del p, q
+    # the call takes the last reference to q, which transport_distance
+    # drops once it has W_eps, before it forms the moments
+    summary = fields.transport_distance(masses[0], pair, q=masses.pop(),
+                                        strict=False)
+    del masses
     report = {
         "w_eps": summary.w_eps,
         "iterations": pair.iterations,
@@ -235,8 +238,10 @@ def cmd_solve(args) -> int:
             advice = (f"; the conv kernel reaches {radius} px, so ice moving "
                       "farther needs a larger --eps, or --mode dense, which "
                       "keeps every kernel weight")
-        print(f"warning: stopped at max_iter before reaching tol{advice}",
-              file=sys.stderr)
+        print(f"warning: stopped at max_iter ({args.max_iter} sweeps) with "
+              f"residual {report['residual']:.3e} above tol {args.tol:g}; "
+              f"raise --max-iter, or --tol if that residual is good "
+              f"enough{advice}", file=sys.stderr)
         return 2
     return 0
 

@@ -104,37 +104,45 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
 
     so the three coupling moments u * xi(w * f), f = x, y, |x|^2, give the
     cost map, and the first two give the barycentric map as well.  Pixel
-    centers are positive, so these fields have finite logs.  The moments are
-    formed one at a time and folded into the map as each arrives; x and y
-    enter as a row and a column of log factors.
+    centers are positive, so these fields have finite logs.  ``q`` is read
+    only for ``w_eps``, which is formed first, so a caller that hands over
+    its last reference to ``q`` has it freed before the moments.  The three
+    moments are formed first, x and y entering as a row and a column of log
+    factors, and the kernel operator is dropped before the maps are derived
+    from them.
     """
     _require_converged(pair, "transport cost", strict)
+    w_eps = wasserstein_value(p, q, pair, strict=strict)
+    del q
     g = p.geometry
     x, y = g._axis_centers()
     y = y[:, None]
+    moment = _moments(p, pair)
+    kx = moment(np.log(x))
+    ky = moment(np.log(y))
+    sq = x * x + y * y
+    ks = moment(np.log(sq, out=sq))
+    del moment
     mass = p.mass.reshape(g.height, g.width)
     valid = _valid_pixels(p).reshape(g.height, g.width)
-    moment = _moments(p, pair)
+    target_x = _target(kx, mass, valid)
+    target_y = _target(ky, mass, valid)
     # rows = |x|^2 p - 2 (x kx + y ky) + ks, summed in this order
-    acc = moment(np.log(x))
-    target_x = _target(acc, mass, valid)
-    acc *= x
-    k = moment(np.log(y))
-    target_y = _target(k, mass, valid)
-    k *= y
-    acc += k
-    del k
-    acc *= 2.0
-    sq = x * x + y * y
-    rows = sq * mass
-    rows -= acc
-    del acc
-    rows += moment(np.log(sq, out=sq))
+    kx *= x
+    ky *= y
+    kx += ky
+    del ky
+    kx *= 2.0
+    rows = x * x + y * y
+    rows *= mass
+    rows -= kx
+    del kx
+    rows += ks
+    del ks
     np.maximum(rows, 0.0, out=rows)
     rows /= mass
     rows[~valid] = np.nan
     valid = valid.reshape(-1)
-    w_eps = wasserstein_value(p, q, pair, strict=strict)
     return TransportSummary(w_eps, rows.reshape(-1), valid,
                             BarycentricMap(target_x, target_y, valid))
 
@@ -210,19 +218,24 @@ def strain(vel: VelocityField, geometry: GridGeometry, dt: float) -> StrainField
 
 
 def _principal(exx: np.ndarray, eyy: np.ndarray, exy: np.ndarray) -> np.ndarray:
-    # in place, so at most four N-length temporaries are alive at once
+    # in place, so three float grids and one bool grid are alive at most
     hi = exx + eyy
     hi *= 0.5  # the mean
     radius = exx - eyy
     radius *= 0.5
     np.square(radius, out=radius)
-    radius += np.square(exy)
+    lo = np.square(exy)
+    radius += lo
     np.sqrt(radius, out=radius)
-    lo = hi - radius
+    np.subtract(hi, radius, out=lo)
     hi += radius
-    # signed eigenvalue of larger magnitude; exact ties resolve positive
+    # signed eigenvalue of larger magnitude; exact ties resolve positive.
+    # |lo| <= |hi| is -|hi| <= lo <= |hi|, false where either is NaN
     np.abs(hi, out=radius)
-    np.copyto(lo, hi, where=radius >= np.abs(lo))
+    keep = np.less_equal(lo, radius)
+    np.negative(radius, out=radius)
+    np.greater_equal(lo, radius, out=keep, where=keep)
+    np.copyto(lo, hi, where=keep)
     return lo
 
 

@@ -42,11 +42,13 @@ Smaller grids, odd sides and narrower kernels keep one level.  A coarser
 level's scalings stay at their own size; the finer level refines them into
 its u and w on each (re)start.
 
-A level works in a fixed set of grids: u, w, xi w, xi^T u, one spare for
-the marginal error and the relaxation, and the kernel operator's scratch
-grid for the first of its two passes.  The kernel applications write into
-the grid they replace, so a linear sweep makes no new array; a log-domain
-sweep makes one per application, the first pass's product.
+A level works in five grids: u, w, xi w, xi^T u and the kernel operator's
+scratch grid, which holds the first of its two passes and, between kernel
+applications, the marginals of the error.  The relaxation forms its update
+in xi^T u, which is consumed by then and replaced next.  The kernel
+applications write into the grid they replace, so a linear sweep makes no
+new array; a log-domain sweep makes one per application, the first pass's
+product.
 
 Because the squared Euclidean cost separates along axes, xi is exactly the
 Kronecker product of two 1-D Gaussian kernels (Solomon et al. 2015,
@@ -56,11 +58,18 @@ either mode.  Each pass runs one GEMM per 128-row block of its band matrix
 over the block's nonzero column span, so it skips the band's exact zeros
 (truncated or underflowed weights) and changes results by rounding only; a
 band of one block, or whose spans cover more than three quarters of it,
-runs as one GEMM.  Dense mode keeps every 1-D weight exp(-(k * pitch)^2 / eps),
-so it equals the N x N kernel to rounding at any grid size.  Convolutional
-mode truncates the weights at the radius r where they fall to 1e-16 of the
-center weight.  The truncation also caps the displacement the convolutional
-kernel can carry at r pixels, in linear and log-domain arithmetic alike: mass
+runs as one GEMM over the n x n band.  Only such a band is stored whole.
+The weights are nonzero out to an offset r (the truncation radius, or
+where they underflow) and zero beyond it, so every block of a band is a
+slice of one 128 x (128 + 2r) Toeplitz tile, tile[a, b] = weight[b - a - r]:
+rows [r0, r1) x columns [c0, c1) is tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r],
+and the spans follow from r by arithmetic.  Both axes share the tile, which
+at 2048 px and eps = 1e-3 holds 0.94 MB where the band would take 33.5 MB.
+Dense mode keeps every 1-D weight exp(-(k * pitch)^2 / eps), so it equals
+the N x N kernel to rounding at any grid size.  Convolutional mode
+truncates the weights at the radius where they fall to 1e-16 of the center
+weight.  The truncation also caps the displacement the convolutional kernel
+can carry at that many pixels, in linear and log-domain arithmetic alike: mass
 that must move farther never reaches the target marginal, and the solve stops
 at ``max_iter`` unconverged.
 
@@ -70,8 +79,11 @@ and log(exp(lv - m) @ band) + m is one GEMM per axis (the separable form of
 the stabilized log-sum-exp of Schmitzer 2019, "Stabilized sparse scaling
 algorithms for entropy regularized transport problems").  Where a line's
 log-scalings spread so far that a shifted sum underflows or goes denormal,
-that entry is recomputed as an exact log-sum-exp over its 2r + 1 band
-offsets, so the result does not depend on how far the scalings spread.
+that entry is recomputed as an exact log-sum-exp over every offset within
+the kernel's radius (their log weights stay finite where the weights
+underflow), so the result does not depend on how far the scalings spread.
+It reads the grid through clipped rows, with -inf past the edge, a chunk
+of entries at a time, so it takes less than a grid of memory.
 
 The per-pixel moments of the coupling that :mod:`otvelo.fields` needs are
 sums u * xi(w * f); :func:`_scaled_apply` forms them through the same kernel
@@ -80,6 +92,7 @@ however far u and w spread, whichever arithmetic the solve finished in.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -194,63 +207,77 @@ def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
 
 class _SeparableOperator:
     """xi as two banded 1-D Gaussian passes of the given radius in px; memory
-    stays O(N): one band matrix per axis (one for both on a square grid)
-    and one scratch grid."""
+    stays O(N): per axis either its full n x n band, where one product over
+    it is faster, or the nonzero blocks of the band, all slices of one
+    Toeplitz tile shared by both axes; plus one scratch grid."""
 
     def __init__(self, spec: KernelSpec, geometry: GridGeometry, radius: int):
         self.radius = radius
         self.shape = (geometry.height, geometry.width)
-        pitch = geometry.pitch
-        self.band_x = self._band(geometry.width, radius, pitch, spec.epsilon)
-        self.spans_x = self._spans(self.band_x)
-        if geometry.height == geometry.width:
-            self.band_y, self.spans_y = self.band_x, self.spans_x
-        else:
-            self.band_y = self._band(geometry.height, radius, pitch, spec.epsilon)
-            self.spans_y = self._spans(self.band_y)
-        self.pitch = pitch
+        self.pitch = geometry.pitch
         self.epsilon = spec.epsilon
+        # the last offset whose weight is nonzero: the truncation radius, or
+        # where the weights underflow; every weight up to it is nonzero
+        self.reach = min(radius, max(geometry.width, geometry.height) - 1)
+        weights = self._weights(np.arange(self.reach + 1))
+        self.reach = int(np.flatnonzero(weights)[-1])
+        self.band_x = self._band(geometry.width)
+        self.band_y = (self.band_x if geometry.height == geometry.width
+                       else self._band(geometry.height))
         # the first pass of every apply and log_apply lands here, so neither
         # is reentrant
         self._scratch = np.empty(geometry.n)
 
-    @staticmethod
-    def _band(n: int, radius: int, pitch: float, epsilon: float) -> np.ndarray:
-        """The symmetric Toeplitz matrix band[i, j] = weight[i - j], made
-        from its 2n - 1 weights."""
-        offsets = np.arange(1 - n, n)
-        weights = np.exp(-(offsets * pitch) ** 2 / epsilon)
-        weights[np.abs(offsets) > radius] = 0.0
-        # row i is weights[n - 1 - i:2n - 1 - i], read backwards: weight[j - i]
-        return np.lib.stride_tricks.sliding_window_view(weights, n)[::-1].copy()
+    def _weights(self, offsets: np.ndarray) -> np.ndarray:
+        """The 1-D kernel weight of each pixel offset, 0.0 beyond the reach."""
+        weights = np.exp(-(offsets * self.pitch) ** 2 / self.epsilon)
+        weights[np.abs(offsets) > self.reach] = 0.0
+        return weights
 
-    @staticmethod
-    def _spans(band: np.ndarray) -> list[tuple[int, int, int, int]] | None:
-        """(r0, r1, c0, c1) for each _BLOCK_ROWS-row block band[r0:r1] and
-        the span [c0, c1) outside which its columns are exactly 0.0, or None
-        where one product over the whole band is faster (a single block
-        always spans the whole band: its first and last diagonal weights are
-        1)."""
-        n = len(band)
+    def _toeplitz(self, rows: int, cols: int, shift: int) -> np.ndarray:
+        """The matrix m[a, b] = weight[b - a - shift], made from its
+        rows + cols - 1 weights."""
+        weights = self._weights(np.arange(1 - rows - shift, cols - shift))
+        # row a is weights[rows - 1 - a:rows - 1 - a + cols]
+        return np.lib.stride_tricks.sliding_window_view(weights, cols)[::-1].copy()
+
+    @functools.cached_property
+    def _tile(self) -> np.ndarray:
+        """tile[a, b] = weight[b - a - reach], _BLOCK_ROWS x (_BLOCK_ROWS +
+        2 reach): every block of a blocked band is a slice of it."""
+        return self._toeplitz(_BLOCK_ROWS, _BLOCK_ROWS + 2 * self.reach, self.reach)
+
+    def _band(self, n: int) -> np.ndarray | list:
+        """The symmetric Toeplitz band[i, j] = weight[i - j] of one n-pixel
+        axis: the n x n matrix where one product over it is faster, else
+        the (rows, cols, block) of each _BLOCK_ROWS-row block of it and the
+        column span outside which it is exactly 0.0, the block a view of
+        :attr:`_tile`."""
+        r = self.reach
         spans = []
         for r0 in range(0, n, _BLOCK_ROWS):
             r1 = min(r0 + _BLOCK_ROWS, n)
-            cols = np.flatnonzero(band[r0:r1].any(axis=0))
-            spans.append((r0, r1, int(cols[0]), int(cols[-1]) + 1))
+            spans.append((r0, r1, max(0, r0 - r), min(n, r1 + r)))
         covered = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans)
-        return None if covered > _FULL_SPAN * n * n else spans
+        # a single block always spans the whole band
+        if covered > _FULL_SPAN * n * n:
+            return self._toeplitz(n, n, 0)
+        return [(slice(r0, r1), slice(c0, c1),
+                 self._tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r])
+                for r0, r1, c0, c1 in spans]
 
     @staticmethod
-    def _band_product(band: np.ndarray, spans: list | None, grid: np.ndarray,
+    def _band_product(band: np.ndarray | list, grid: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-        """band @ grid, one GEMM per row block over its nonzero column span,
-        into ``out`` if given; only exact zeros are skipped."""
-        if spans is None:
+        """band @ grid, into ``out`` if given: one GEMM over a full band, or
+        one per block of a blocked band, over the block's nonzero column
+        span; only exact zeros are skipped."""
+        if not isinstance(band, list):
             return np.matmul(band, grid, out=out)
         if out is None:
-            out = np.empty((len(band), grid.shape[1]))
-        for r0, r1, c0, c1 in spans:
-            np.matmul(band[r0:r1, c0:c1], grid[c0:c1], out=out[r0:r1])
+            out = np.empty(grid.shape)
+        for rows, cols, block in band:
+            np.matmul(block, grid[cols], out=out[rows])
         return out
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -259,19 +286,17 @@ class _SeparableOperator:
         grid = v.reshape(self.shape)
         h, w = self.shape
         out = None if out is None else out.reshape(self.shape)
-        if self.spans_x is None and self.spans_y is None:
+        if not isinstance(self.band_x, list) and not isinstance(self.band_y, list):
             # no transposed operands: faster on small grids (0.020 against
             # 0.032 ms at 64^2)
             first = np.matmul(self.band_y, grid, out=self._scratch.reshape(h, w))
             return np.matmul(first, self.band_x, out=out).reshape(-1)
         # rows first, on the transposed grid (the bands are symmetric), then
         # columns, as in log_apply, so the result comes out C-ordered
-        first = self._band_product(self.band_x, self.spans_x, grid.T,
-                                   self._scratch.reshape(w, h))
-        return self._band_product(self.band_y, self.spans_y, first.T,
-                                  out).reshape(-1)
+        first = self._band_product(self.band_x, grid.T, self._scratch.reshape(w, h))
+        return self._band_product(self.band_y, first.T, out).reshape(-1)
 
-    def _log_pass(self, grid: np.ndarray, band: np.ndarray, spans: list | None,
+    def _log_pass(self, grid: np.ndarray, band: np.ndarray | list,
                   out: np.ndarray | None = None) -> np.ndarray:
         """log(band @ exp(grid)) down each column, as one max-shifted
         :meth:`_band_product`, into ``out`` if given (``out`` may hold the
@@ -279,40 +304,59 @@ class _SeparableOperator:
 
         A shifted sum below _UNDERFLOW_SUM underflowed or went denormal, so
         those entries are recomputed as an exact log-sum-exp over their
-        2r + 1 band offsets, padded with -inf at the edges.
+        2r + 1 band offsets, where offsets past the edge weigh -inf.
         """
         top = grid.max(axis=0)
         # laid out like ``grid``, a transposed view, as ``grid - top`` would
         # be: the order in which the GEMM sums depends on the layout
         s = np.subtract(grid, top, out=self._scratch.reshape(grid.shape[::-1]).T)
         np.exp(s, out=s)
-        s = self._band_product(band, spans, s, out)
+        s = self._band_product(band, s, out)
         low = s < _UNDERFLOW_SUM
         np.maximum(s, _UNDERFLOW_SUM, out=s)
         np.log(s, out=s)
         s += top
         if low.any():
-            rows, cols = np.nonzero(low)
-            r = min(self.radius, grid.shape[0] - 1)
-            k = np.arange(2 * r + 1)
-            log_w = -((k - r) * self.pitch) ** 2 / self.epsilon
-            padded = np.pad(grid, ((r, r), (0, 0)), constant_values=-np.inf)
-            # about max(N, 2^16) window elements at once keep memory O(N)
-            step = 1 + max(grid.size, 1 << 16) // k.size
-            for lo in range(0, rows.size, step):
-                i, j = rows[lo:lo + step, None], cols[lo:lo + step, None]
-                win = padded[i + k, j] + log_w
-                m = win.max(axis=1, keepdims=True)
-                s[i, j] = np.log(np.exp(win - m).sum(axis=1, keepdims=True)) + m
+            self._exact_sums(grid, low, s)
         return s
+
+    def _exact_sums(self, grid: np.ndarray, low: np.ndarray, s: np.ndarray) -> None:
+        """s[i, j] = log sum_k exp(grid[i + k, j] + log weight[k]) over
+        |k| <= r wherever ``low`` holds, as an exact log-sum-exp.  The
+        entries of ``low`` are taken max(N / 8, 2^13) at a time, and their
+        windows about as many elements at a time, so memory stays below a
+        grid."""
+        n = grid.shape[0]
+        r = min(self.radius, n - 1)
+        k = np.arange(-r, r + 1)
+        log_w = -(k * self.pitch) ** 2 / self.epsilon
+        flat = low.reshape(-1)
+        chunk = max(flat.size // 8, 1 << 13)
+        step = 1 + chunk // k.size
+        for start in range(0, flat.size, chunk):
+            hits = np.flatnonzero(flat[start:start + chunk])
+            hits += start
+            for lo in range(0, hits.size, step):
+                i, j = np.divmod(hits[lo:lo + step, None], low.shape[1])
+                rows = i + k
+                outside = (rows < 0) | (rows >= n)
+                np.clip(rows, 0, n - 1, out=rows)
+                win = grid[rows, j]
+                del rows
+                win += log_w
+                win[outside] = -np.inf
+                m = win.max(axis=1, keepdims=True)
+                win -= m
+                np.exp(win, out=win)
+                s[i, j] = np.log(win.sum(axis=1, keepdims=True)) + m
 
     def log_apply(self, lv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """log(xi exp(lv)) through the band matrices of :meth:`apply`: rows
         first (on the transposed grid), then columns; written into ``out``,
         a flat array (which may be ``lv``), if given."""
-        grid = self._log_pass(lv.reshape(self.shape).T, self.band_x, self.spans_x)
+        grid = self._log_pass(lv.reshape(self.shape).T, self.band_x)
         out = None if out is None else out.reshape(self.shape)
-        return self._log_pass(grid.T, self.band_y, self.spans_y, out).reshape(-1)
+        return self._log_pass(grid.T, self.band_y, out).reshape(-1)
 
 
 def _make_operator(spec: KernelSpec, geometry: GridGeometry) -> _SeparableOperator:
@@ -554,15 +598,18 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                 np.exp(v, out=v)
 
     def scale(v, k, target):
-        """v <- v * (target / (v * k))^omega: the update of one side."""
+        """v <- v * (target / (v * k))^omega: the update of one side, which
+        overwrites t: xi^T u is consumed by then, and replaced next."""
         if omega == 1.0:
             divide(target, k, out=v)
         else:
-            _relax(v, divide(target, k, out=spare), omega, log_domain)
+            _relax(v, divide(target, k, out=t), omega, log_domain)
 
     def error():
-        return (_l1(marginal(u, s, out=spare), p.mass)
-                + _l1(marginal(w, t, out=spare), q.mass))
+        # the marginals go into the operator's scratch grid, free between
+        # kernel applications
+        return (_l1(marginal(u, s, out=op._scratch), p.mass)
+                + _l1(marginal(w, t, out=op._scratch), q.mass))
 
     history = []
     omega = 1.0        # above 1 only after the sweep relax_at raised it
@@ -572,7 +619,7 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
         apply, divide, marginal, pv, qv = arithmetic(log_domain)
         begin(log_domain)
         # made once the start is refined, whose temporaries are gone by then
-        s, t, spare = (np.empty(g.n) for _ in range(3))
+        s, t = np.empty(g.n), np.empty(g.n)
         apply(u, out=t)
         for iterations in range(1, max_iter + 1):
             scale(w, t, qv)

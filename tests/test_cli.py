@@ -411,6 +411,23 @@ def test_conv_unconverged_warning_names_kernel_radius(tmp_path, capsys):
     assert "--eps" in err
 
 
+@pytest.mark.parametrize("mode", ["dense", "conv"])
+def test_max_iter_warning_gives_advice_in_every_mode(tmp_path, capsys, mode):
+    # three sweeps do not converge the corner swap; the warning names the
+    # residual and the flags that change the stop in both modes, and the
+    # kernel's reach only in conv mode
+    a, b = _corner_pair(tmp_path)
+    prefix = str(tmp_path / "m_")
+    rc = main(["solve", a, b, "--out-prefix", prefix, "--eps", "1e-2",
+               "--mode", mode, "--max-iter", "3"])
+    assert rc == 2
+    summary = json.loads(open(f"{prefix}summary.json").read())
+    err = capsys.readouterr().err
+    assert f"residual {summary['residual']:.3e}" in err
+    assert "--max-iter" in err and "--tol" in err
+    assert ("conv kernel reaches" in err) == (mode == "conv")
+
+
 def _shift_pair(tmp_path, size, t_target=86400.0):
     """A block and the same block one pixel to the right on a size^2 grid."""
     g = GridGeometry(size, size, 250.0)

@@ -319,3 +319,20 @@ def test_principal_clip():
     assert out.tolist() == [1e-2, -1e-2]
     with pytest.raises(ValueError):
         principal_strain(st, clip=0.0)
+
+
+def test_principal_picks_the_larger_magnitude_bit_for_bit():
+    # the pick of the larger-magnitude eigenvalue, made without a float
+    # temporary, is |hi| >= |lo| on every value: signed zeros, NaN, inf and
+    # sums that overflow included
+    from otvelo import StrainField
+    values = np.array([0.0, -0.0, 1e-3, -1e-3, 2.0, -2.0, 5e-324, 1e200,
+                       -1e200, np.inf, -np.inf, np.nan])
+    exx, eyy, exy = (v.reshape(-1) for v in np.meshgrid(values, values, values))
+    with np.errstate(all="ignore"):
+        mean = (exx + eyy) * 0.5
+        radius = np.sqrt(((exx - eyy) * 0.5) ** 2 + exy ** 2)
+        hi, lo = mean + radius, mean - radius
+        ref = np.where(np.abs(hi) >= np.abs(lo), hi, lo)
+        got = principal_strain(StrainField(exx, eyy, exy, None))
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))

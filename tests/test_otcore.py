@@ -166,24 +166,53 @@ def axis_log_apply(lv, eps, pitch, radius):
     return out
 
 
+def offset_band(n, eps, pitch, radius):
+    """The n x n band weight[i - j] from the offset formula, 0.0 beyond
+    ``radius`` px."""
+    idx = np.arange(n)
+    offsets = idx[:, None] - idx[None, :]
+    band = np.exp(-(offsets * pitch) ** 2 / eps)
+    band[np.abs(offsets) > radius] = 0.0
+    return band
+
+
+def blocked_product(band, ref, grid):
+    """ref @ grid as the operator forms it from a blocked ``band``: one GEMM
+    per block, on the slice of the n x n ``ref`` the block stands for."""
+    out = np.zeros(grid.shape)
+    for rows, cols, _ in band:
+        out[rows] = ref[rows, cols] @ grid[cols]
+    return out
+
+
 @pytest.mark.parametrize("eps, mode", [(1e-3, "conv"), (1e-4, "dense")])
 def test_tiled_apply_skips_only_exact_zeros(eps, mode):
     g = TILED
     op = _make_operator(KernelSpec(eps, mode), g)
-    assert op.spans_x is not None   # the band holds exact zeros to skip
-    for band, spans in ((op.band_x, op.spans_x), (op.band_y, op.spans_y)):
-        if spans is None:
+    assert isinstance(op.band_x, list)   # the band holds exact zeros to skip
+    refs = {}
+    for band, n in ((op.band_x, g.width), (op.band_y, g.height)):
+        refs[n] = ref = offset_band(n, eps, g.pitch, op.radius)
+        if not isinstance(band, list):
+            assert np.array_equal(band, ref)
             continue
-        covered = np.zeros(band.shape, dtype=bool)
-        for r0, r1, c0, c1 in spans:
-            covered[r0:r1, c0:c1] = True
+        covered = np.zeros(ref.shape, dtype=bool)
+        for rows, cols, block in band:
+            covered[rows, cols] = True
+            assert np.array_equal(block, ref[rows, cols])
         assert covered.any(axis=1).all()
-        assert np.all(band[~covered] == 0.0)
+        assert np.all(ref[~covered] == 0.0)
     rng = np.random.default_rng(10)
     v = rng.uniform(0.0, 1.0, g.n)
-    ref = op.band_y @ v.reshape(g.height, g.width) @ op.band_x
+    ref = refs[g.height] @ v.reshape(g.height, g.width) @ refs[g.width]
     got = op.apply(v).reshape(g.height, g.width)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the blocks of the tile give the products of the full band's blocks,
+    # bit for bit
+    first = blocked_product(op.band_x, refs[g.width], v.reshape(g.height, g.width).T)
+    second = (blocked_product(op.band_y, refs[g.height], first.T)
+              if isinstance(op.band_y, list) else refs[g.height] @ first.T)
+    assert np.array_equal(got, second)
     # a spread of 1e4 underflows most shifted sums into the exact fallback
     radius = required_truncation_radius(eps, g) if mode == "conv" else g.width
     for spread in (30.0, 1e4):
@@ -201,10 +230,12 @@ def test_tiled_apply_skips_only_exact_zeros(eps, mode):
 ])
 def test_single_product_apply_is_unchanged(geometry, eps, mode):
     op = _make_operator(KernelSpec(eps, mode), geometry)
-    assert op.spans_x is None and op.spans_y is None
+    band_x = offset_band(geometry.width, eps, geometry.pitch, op.radius)
+    band_y = offset_band(geometry.height, eps, geometry.pitch, op.radius)
+    assert np.array_equal(op.band_x, band_x) and np.array_equal(op.band_y, band_y)
     v = np.random.default_rng(11).uniform(0.0, 1.0, geometry.n)
     grid = v.reshape(geometry.height, geometry.width)
-    ref = (op.band_y @ grid @ op.band_x).reshape(-1)
+    ref = (band_y @ grid @ band_x).reshape(-1)
     assert np.array_equal(op.apply(v), ref)
 
 
@@ -212,16 +243,58 @@ def test_single_product_apply_is_unchanged(geometry, eps, mode):
     (9, 1e-2, "dense"), (300, 1e-3, "conv"), (140, 1e-4, "dense"), (512, 1e-3, "conv"),
 ])
 def test_band_from_weights_matches_offset_formula(n, eps, mode):
-    # the Toeplitz band is made from its 2n - 1 weights, bit for bit the
-    # weights of the n x n offset formula, truncated at the same radius
+    # the band, or the tile its blocks are cut from, is made from its
+    # weights, bit for bit the weights of the n x n offset formula,
+    # truncated at the same radius
     g = GridGeometry(n, n, 250.0)
     op = _make_operator(KernelSpec(eps, mode), g)
-    idx = np.arange(n)
-    offsets = idx[:, None] - idx[None, :]
-    ref = np.exp(-(offsets * g.pitch) ** 2 / eps)
-    ref[np.abs(offsets) > op.radius] = 0.0
-    assert np.array_equal(op.band_x, ref)
+    ref = offset_band(n, eps, g.pitch, op.radius)
     assert op.band_y is op.band_x   # a square grid keeps one band
+    if not isinstance(op.band_x, list):
+        assert np.array_equal(op.band_x, ref)
+        return
+    got = np.zeros((n, n))
+    for rows, cols, block in op.band_x:
+        got[rows, cols] = block
+    assert np.array_equal(got, ref)
+    # every block is a view of one tile of 128 x (128 + 2 r) weights,
+    # r the last offset whose weight is nonzero
+    (tile,) = {id(block.base): block.base for _, _, block in op.band_x}.values()
+    assert tile.shape == (128, 128 + 2 * op.reach)
+    assert ref[op.reach, 0] != 0.0 and (op.reach == n - 1 or ref[op.reach + 1, 0] == 0.0)
+
+
+def test_wide_operator_keeps_a_tile_not_a_band():
+    # 2048 px wide at eps 1e-3: a 2048 x 2048 band would take 33.5 MB; the
+    # tile of its 394 px radius takes 0.94 MB, and nothing bigger is made
+    g = GridGeometry(2048, 8, 250.0)
+    tracemalloc.start()
+    try:
+        op = _make_operator(KernelSpec(1e-3, "conv"), g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = 8 * g.n
+    assert isinstance(op.band_x, list) and op.reach == 394
+    assert kept - scratch <= 2e6 and peak - scratch <= 2e6
+
+
+def test_exact_fallback_takes_no_padded_copy():
+    # at a spread of 1e4 most shifted sums of this dense operator underflow
+    # into the exact log-sum-exp; it reads the grid through clipped rows, so
+    # log_apply peaks at its two passes' products plus a part of a grid
+    # (2.3 grids; a copy padded with r = n - 1 rows of -inf peaked at 9.1)
+    g = TILED
+    op = _make_operator(KernelSpec(1e-4, "dense"), g)
+    lv = np.random.default_rng(14).uniform(-1e4, 1e4, g.n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op.log_apply(lv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (8 * g.n) <= 3.0
 
 
 @pytest.mark.parametrize("geometry, eps, mode", [
@@ -261,9 +334,9 @@ def test_log_apply_is_the_plain_max_shifted_product(geometry, eps, mode):
     op = _make_operator(KernelSpec(eps, mode), geometry)
     lv = np.random.default_rng(13).uniform(-30.0, 30.0, geometry.n)
     grid = lv.reshape(op.shape).T
-    for band, spans in ((op.band_x, op.spans_x), (op.band_y, op.spans_y)):
+    for band in (op.band_x, op.band_y):
         top = grid.max(axis=0)
-        grid = (np.log(op._band_product(band, spans, np.exp(grid - top))) + top).T
+        grid = (np.log(op._band_product(band, np.exp(grid - top))) + top).T
     assert np.array_equal(op.log_apply(lv), grid.T.reshape(-1))
 
 
