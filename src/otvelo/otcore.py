@@ -598,8 +598,9 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                 np.exp(v, out=v)
 
     def scale(v, k, target):
-        """v <- v * (target / (v * k))^omega: the update of one side, which
-        overwrites t: xi^T u is consumed by then, and replaced next."""
+        """v <- v * (target / (v * k))^omega: the update of one side; a
+        relaxed one is formed in t, whose xi^T u is consumed by then and
+        replaced next."""
         if omega == 1.0:
             divide(target, k, out=v)
         else:
