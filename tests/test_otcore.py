@@ -329,14 +329,19 @@ def test_apply_into_out_matches_a_new_array(geometry, eps, mode):
 ])
 def test_log_apply_is_the_plain_max_shifted_product(geometry, eps, mode):
     # away from underflow each pass is log(band @ exp(grid - top)) + top
-    # with numpy's own temporaries, bit for bit: the shifted grid the GEMM
-    # reads keeps the transposed layout of ``grid - top``
+    # with numpy's own temporaries and the n x n band of the offset formula
+    # (per block where the operator tiles it), bit for bit: the shifted
+    # grid the GEMM reads keeps the transposed layout of ``grid - top``
     op = _make_operator(KernelSpec(eps, mode), geometry)
     lv = np.random.default_rng(13).uniform(-30.0, 30.0, geometry.n)
     grid = lv.reshape(op.shape).T
-    for band in (op.band_x, op.band_y):
+    for band, n in ((op.band_x, geometry.width), (op.band_y, geometry.height)):
         top = grid.max(axis=0)
-        grid = (np.log(op._band_product(band, np.exp(grid - top))) + top).T
+        ref = offset_band(n, eps, geometry.pitch, op.radius)
+        shifted = np.exp(grid - top)
+        product = (blocked_product(band, ref, shifted) if isinstance(band, list)
+                   else ref @ shifted)
+        grid = (np.log(product) + top).T
     assert np.array_equal(op.log_apply(lv), grid.T.reshape(-1))
 
 
