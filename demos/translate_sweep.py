@@ -9,7 +9,7 @@ prints the curves side by side. Two things to look for:
     motion, so all four curves collapse onto a common shape (fracturing
     scenarios such as split_quad separate the eps levels; see the sweep CLI).
 
-Run:  python3 demos/translate_sweep.py      (about 1 s)
+Run:  python3 demos/translate_sweep.py      (about 0.5 s)
 """
 import numpy as np
 

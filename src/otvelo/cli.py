@@ -274,7 +274,8 @@ def cmd_sweep(args) -> int:
                        max_iter=args.max_iter, mode=args.mode,
                        log_domain=args.log_domain)
     synth.sweep_to_csv(rows, args.out)
-    print(f"{len(rows)} sweep points -> {args.out}")
+    print(f"{len(rows)} sweep points, {sum(r.iterations for r in rows)} sweeps "
+          f"-> {args.out}")
     stopped = [f"(eps={r.eps:g}, t={r.t:g})" for r in rows if not r.converged]
     if stopped:
         print(f"warning: stopped at max_iter before reaching tol at "

@@ -12,10 +12,11 @@ over-relaxed:
 
     w <- w * (q / (w * xi^T u))^omega,   u <- u * (p / (u * xi w))^omega
 
-starting from u = 1, or from the solve of a coarser grid (below).  omega = 1
-is the classic w <- q / (xi^T u), u <- p / (xi w); the loop runs six such
-sweeps, then picks omega from the rate at which they reduced the error, and
-falls back to omega = 1 if the relaxed sweeps overflow or stall.  Linear and
+starting from u = 1, from the solve of a coarser grid (below), or from
+given log scalings.  omega = 1 is the classic w <- q / (xi^T u),
+u <- p / (xi w); the loop runs six such sweeps, then picks omega from the
+rate at which they reduced the error, and falls back to omega = 1 if the
+relaxed sweeps overflow or stall.  Linear and
 log-domain iterations share this loop, and a linear solve whose plain sweeps
 overflow restarts in it in log-domain arithmetic.  It stops when the L1
 marginal error ||u * xi w - p||_1 + ||w * xi^T u - q||_1 drops to ``tol``
@@ -487,9 +488,11 @@ def _refine_axis(c: np.ndarray, fine: np.ndarray) -> None:
 
 def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-             log_domain: bool = False) -> ScalingPair:
+             log_domain: bool = False, *,
+             start: tuple[np.ndarray, np.ndarray] | None = None) -> ScalingPair:
     """Over-relaxed alternating diagonal scaling toward gamma = diag(u) xi diag(w),
-    started from the solution of the 2x2-pooled problem where that pays.
+    started from the solution of the 2x2-pooled problem where that pays, or
+    from ``start``.
 
     Levels: while both sides are even, the pooled grid keeps at least 128 px
     on its shorter side, and the kernel's standard deviation sqrt(eps / 2)
@@ -505,6 +508,11 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     own.  The returned ``iterations``, ``residual_history``, ``residual``,
     ``converged`` and ``omega`` are the finest level's; ``coarse_iterations`` lists
     the (width, height, sweeps) of each coarser level, coarsest first.
+
+    ``start = (log_u, log_w)``, two finite flat arrays of p's size, such as
+    the scalings of a nearby problem, replaces the levels: the loop below
+    runs once, on p's grid, from u = exp(log_u), w = exp(log_w), and its
+    safeguards restart from there; ``coarse_iterations`` is empty.
 
     Each sweep updates w <- w * (q / (w * xi^T u))^omega, then
     u <- u * (p / (u * xi w))^omega.  The first six sweeps are plain
@@ -551,7 +559,15 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    return _solve(p, q, kernel, tol, max_iter, log_domain)
+    if start is None:
+        return _solve(p, q, kernel, tol, max_iter, log_domain)
+    start = tuple(np.asarray(v, dtype=np.float64) for v in start)
+    if len(start) != 2 or any(v.shape != (p.geometry.n,) for v in start):
+        raise ValueError(f"start must be two flat arrays (log_u, log_w) of "
+                         f"width * height = {p.geometry.n} log scalings")
+    if not all(np.isfinite(v).all() for v in start):
+        raise ValueError("start log scalings must be finite")
+    return _solve_level(p, q, kernel, tol, max_iter, log_domain, start)
 
 
 def _solve(p: MassField, q: MassField, kernel: KernelSpec, tol: float,

@@ -514,7 +514,7 @@ def test_module_cli_runs_main(tmp_path):
         assert load_raster(f"{prefix}{name}.pgm").geometry.width == 16
 
 
-def test_sweep_cli_writes_curve_csv(tmp_path):
+def test_sweep_cli_writes_curve_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     rc = main(["sweep", "--scenario", "translate", "--size", "16",
                "--t-steps", "3", "--eps", "0.1", "1.0",
@@ -525,6 +525,9 @@ def test_sweep_cli_writes_curve_csv(tmp_path):
     assert rows[0] == ["eps", "t", "w_eps_minus_w0", "iterations", "converged"]
     body = rows[1:]
     assert len(body) == 2 * 3
+    # the report line counts the points and the sweeps of all their solves
+    sweeps = sum(int(r[3]) for r in body)
+    assert capsys.readouterr().out == f"6 sweep points, {sweeps} sweeps -> {out}\n"
     by_eps = {}
     for eps, t, dw, _its, _conv in body:
         by_eps.setdefault(float(eps), []).append((float(t), float(dw)))

@@ -944,3 +944,66 @@ def test_level_starts_in_the_coarser_levels_arithmetic(monkeypatch):
     assert pair.iterations == log.iterations
     assert np.array_equal(pair.log_u, log.log_u)
     assert np.array_equal(pair.log_w, log.log_w)
+
+
+# ---------------------------------------------------------------------------
+# a given start
+
+def _translate_64(eps=1e-2):
+    src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
+    return normalize_to_mass(src), normalize_to_mass(tgt), KernelSpec(eps, "dense")
+
+
+@pytest.mark.parametrize("start", [
+    lambda n: (np.zeros(n - 1), np.zeros(n)),
+    lambda n: (np.zeros(n), np.zeros((n, 1))),
+    lambda n: (np.zeros(n),),
+    lambda n: (np.full(n, np.nan), np.zeros(n)),
+    lambda n: (np.zeros(n), np.r_[np.zeros(n - 1), np.inf]),
+    lambda n: (np.r_[-np.inf, np.zeros(n - 1)], np.zeros(n)),
+], ids=["short", "not_flat", "one_array", "nan", "inf", "minus_inf"])
+def test_start_is_validated(start, mass_field):
+    g = GridGeometry(4, 4, 250.0)
+    p = mass_field(g, np.ones(g.n))
+    with pytest.raises(ValueError, match="start"):
+        sinkhorn(p, p, KernelSpec(1e-2, "dense"), start=start(g.n))
+
+
+def test_start_at_a_converged_pair_takes_one_sweep():
+    p, q, k = _translate_64()
+    cold = sinkhorn(p, q, k)
+    again = sinkhorn(p, q, k, start=(cold.log_u, cold.log_w))
+    assert cold.converged and cold.iterations > 1
+    assert again.converged and again.iterations == 1
+    assert again.coarse_iterations == () and not again.log_domain
+    assert wasserstein_value(p, q, again) == pytest.approx(
+        wasserstein_value(p, q, cold), rel=1e-9)
+
+
+def test_gauge_shifted_start_overflows_into_log_arithmetic():
+    # (log u + 800, log w - 800) is the same plan, but exp(log u + 800) is
+    # inf in float64: the first linear sweep leaves (0, inf), and the solve
+    # restarts from the same start in log arithmetic
+    p, q, k = _translate_64()
+    cold = sinkhorn(p, q, k)
+    shifted = (cold.log_u + 800.0, cold.log_w - 800.0)
+    pair = sinkhorn(p, q, k, start=shifted)
+    assert shifted[0].max() > math.log(np.finfo(np.float64).max)
+    assert pair.converged and pair.log_domain
+    assert wasserstein_value(p, q, pair) == pytest.approx(
+        wasserstein_value(p, q, cold), rel=1e-9)
+
+
+def test_start_replaces_the_coarse_levels():
+    # 256^2 at eps 1e-3 would solve its 128^2 pooled pair first; a start
+    # runs the loop on the given grid only, here the cold loop bit for bit
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    assert _coarsens(p.geometry, k.epsilon)
+    zero = np.zeros(p.geometry.n)
+    pair = sinkhorn(p, q, k, max_iter=20, start=(zero, zero))
+    cold = _cold(p, q, k, max_iter=20)
+    assert pair.coarse_iterations == ()
+    assert np.array_equal(pair.residual_history, cold.residual_history)
+    assert np.array_equal(pair.log_u, cold.log_u)
+    assert np.array_equal(pair.log_w, cold.log_w)

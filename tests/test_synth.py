@@ -172,6 +172,59 @@ def test_sweep_renders_each_frame_once(monkeypatch):
     assert calls == {"render": 4, "normalize_to_mass": 4}
 
 
+def recording_sinkhorn(monkeypatch, cold=False):
+    """Replace the ``sinkhorn`` that ``synth.sweep`` calls by one that
+    records each call's keyword arguments and result; with ``cold``, it
+    drops any start."""
+    calls = []
+    original = synth.sinkhorn
+
+    def record(*args, **kwargs):
+        if cold:
+            kwargs["start"] = None
+        pair = original(*args, **kwargs)
+        calls.append((kwargs, pair))
+        return pair
+
+    monkeypatch.setattr(synth, "sinkhorn", record)
+    return calls
+
+
+def test_sweep_continuation_matches_cold_curves_in_fewer_sweeps(monkeypatch):
+    scn = make_scenario("translate", size=64)
+    eps = [1e-2, 1e-1, 1.0]
+    rows = sweep(scn, eps)
+    recording_sinkhorn(monkeypatch, cold=True)
+    cold = sweep(scn, eps)
+    assert all(r.converged for r in rows + cold)
+    assert [(r.eps, r.t) for r in rows] == [(r.eps, r.t) for r in cold]
+    for r, c in zip(rows, cold):
+        assert r.w_minus_w0 == pytest.approx(c.w_minus_w0, rel=1e-6, abs=0.0)
+    # 62 against 214 sweeps
+    assert sum(r.iterations for r in rows) <= 0.4 * sum(c.iterations for c in cold)
+
+
+def test_sweep_starts_from_two_converged_neighbours(monkeypatch):
+    # at eps 1e-2 the t = 0.25 solve needs 13 sweeps, so max_iter 12 stops it
+    # unconverged, and every later point of that curve starts cold; at 1e-1
+    # every solve converges and points 2 on start from the extrapolation
+    calls = recording_sinkhorn(monkeypatch)
+    scn = make_scenario("translate", size=64)
+    rows = sweep(scn, [1e-2, 1e-1], t_steps=5, max_iter=12)
+    assert len(calls) == len(rows) == 10
+    assert [r.converged for r in rows] == [True] + [False] * 4 + [True] * 5
+    for curve in (calls[:5], calls[5:]):
+        for k, (kwargs, _) in enumerate(curve):
+            start = kwargs["start"]
+            warm = k >= 2 and curve[k - 1][1].converged and curve[k - 2][1].converged
+            assert (start is not None) == warm
+            if warm:
+                (_, before), (_, last) = curve[k - 2], curve[k - 1]
+                assert np.array_equal(start[0], 2.0 * last.log_u - before.log_u)
+                assert np.array_equal(start[1], 2.0 * last.log_w - before.log_w)
+    assert [kw["start"] is None for kw, _ in calls[5:]] == [True, True, False, False, False]
+
+
 def test_sweep_validation():
     scn = make_scenario("translate", size=16)
     with pytest.raises(ValueError):
