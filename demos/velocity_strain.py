@@ -13,8 +13,7 @@ import numpy as np
 
 from otvelo import (
     GridGeometry, IntensityRaster, KernelSpec, apply_ice_mask,
-    barycentric_map, normalize_to_mass, sinkhorn, strain, transport_distance,
-    velocity,
+    normalize_to_mass, sinkhorn, strain, transport_distance, velocity,
 )
 
 SIZE, LO, HI, SHIFT = 128, 49, 79, 6
@@ -36,10 +35,11 @@ def run():
     print(f"solve: {pair.iterations} iterations, residual {pair.residual:.1e}, "
           f"converged={pair.converged}")
 
+    # one pass of the coupling moments gives the distance, the cost map and
+    # the barycentric map
     summary = transport_distance(p, pair, q=q)
-    bm = barycentric_map(p, pair)
-    vel = velocity(bm, g, DT)
-    st = strain(vel, g, DT)
+    vel = velocity(summary.target, g, DT)
+    st = strain(vel, g)
 
     vx = vel.vx.reshape(SIZE, SIZE)
     vy = vel.vy.reshape(SIZE, SIZE)

@@ -60,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "of its maximum")
         sp.add_argument("--max-iter", type=_positive_int,
                         default=otcore.DEFAULT_MAX_ITER)
-        sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto")
+        sp.add_argument("--mode", choices=("auto", "dense", "conv"), default="auto",
+                        help="dense keeps every kernel weight, conv drops those "
+                             "beyond r px (below 1e-16 of the centre), auto "
+                             f"picks dense up to {otcore.DENSE_MAX_PIXELS} px")
         sp.add_argument("--log-domain", action="store_true",
                         help="start in log-space iterations; a linear solve "
                              "that overflows switches to them by itself")
@@ -209,7 +212,7 @@ def cmd_solve(args) -> int:
     del bmap
     write("vx", vel.vx)
     write("vy", vel.vy)
-    st = fields.strain(vel, g, dt)
+    st = fields.strain(vel, g)
     write("exx", st.exx)
     write("eyy", st.eyy)
     write("exy", st.exy)

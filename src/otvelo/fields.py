@@ -1,5 +1,5 @@
 """Derived per-pixel fields: transport distance, barycentric displacement,
-velocity, and incremental strain.
+velocity, and incremental strain over the velocity field's interval.
 
 All fields are flat row-major float64 arrays aligned with the mass-field
 grid; pixels excluded by the ice mask or the low-mass cutoff carry NaN (the
@@ -36,12 +36,11 @@ class TransportSummary:
     barycentric map formed from the same first moments of the coupling.
 
     ``cbar[i] = sum_j gamma_ij c_ij / p_i`` in normalized squared units,
-    NaN outside ``valid``.
+    NaN outside ``target.valid``.
     """
 
     w_eps: float
     cbar: np.ndarray
-    valid: np.ndarray
     target: BarycentricMap
 
 
@@ -86,12 +85,12 @@ def _moments(p: MassField, pair: ScalingPair):
     return moment
 
 
-def _target(moment: np.ndarray, mass: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """A barycentric coordinate moment / p as a flat array, NaN outside
-    ``valid``."""
-    out = moment / mass
+def _target(moment: np.ndarray, p: MassField, valid: np.ndarray) -> np.ndarray:
+    """A barycentric coordinate moment / p as a flat array, NaN outside the
+    flat mask ``valid``."""
+    out = moment.reshape(-1) / p.mass
     out[~valid] = np.nan
-    return out.reshape(-1)
+    return out
 
 
 def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
@@ -124,9 +123,9 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
     ks = moment(np.log(sq, out=sq))
     del moment
     mass = p.mass.reshape(g.height, g.width)
-    valid = _valid_pixels(p).reshape(g.height, g.width)
-    target_x = _target(kx, mass, valid)
-    target_y = _target(ky, mass, valid)
+    valid = _valid_pixels(p)
+    target_x = _target(kx, p, valid)
+    target_y = _target(ky, p, valid)
     # rows = |x|^2 p - 2 (x kx + y ky) + ks, summed in this order
     kx *= x
     ky *= y
@@ -141,10 +140,9 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
     del ks
     np.maximum(rows, 0.0, out=rows)
     rows /= mass
+    rows = rows.reshape(-1)
     rows[~valid] = np.nan
-    valid = valid.reshape(-1)
-    return TransportSummary(w_eps, rows.reshape(-1), valid,
-                            BarycentricMap(target_x, target_y, valid))
+    return TransportSummary(w_eps, rows, BarycentricMap(target_x, target_y, valid))
 
 
 def transport_speed(summary: TransportSummary, geometry: GridGeometry,
@@ -166,15 +164,11 @@ def barycentric_map(p: MassField, pair: ScalingPair,
     feeds this function).
     """
     _require_converged(pair, "barycentric map", strict)
-    g = p.geometry
-    x, y = g._axis_centers()
-    mass = p.mass.reshape(g.height, g.width)
+    x, y = p.geometry._axis_centers()
     valid = _valid_pixels(p)
-    grid_valid = valid.reshape(g.height, g.width)
     moment = _moments(p, pair)
-    return BarycentricMap(_target(moment(np.log(x)), mass, grid_valid),
-                          _target(moment(np.log(y)[:, None]), mass, grid_valid),
-                          valid)
+    return BarycentricMap(_target(moment(np.log(x)), p, valid),
+                          _target(moment(np.log(y)[:, None]), p, valid), valid)
 
 
 def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> VelocityField:
@@ -191,13 +185,14 @@ def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> Velocit
     return VelocityField(vx.reshape(-1), vy.reshape(-1), dt)
 
 
-def strain(vel: VelocityField, geometry: GridGeometry, dt: float) -> StrainField:
-    """Incremental strain  e = (dt / 2) (grad v + grad v^T).
+def strain(vel: VelocityField, geometry: GridGeometry) -> StrainField:
+    """Incremental strain  e = (dt / 2) (grad v + grad v^T), dt = ``vel.dt``.
 
     Spatial derivatives use second-order central differences inside the grid
     and second-order one-sided stencils on the boundary (grid spacing is
     ``pixel_size`` meters).  Any stencil touching a NaN velocity yields NaN.
     """
+    dt = vel.dt
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if geometry.width < 3 or geometry.height < 3:

@@ -451,11 +451,11 @@ def _pool(field: MassField) -> MassField:
                      field.floor)
 
 
-def _refine(log_v: np.ndarray, coarse: GridGeometry,
+def _refine(log_v: np.ndarray, shape: tuple[int, int],
             out: np.ndarray | None = None) -> np.ndarray:
-    """A coarse log-scaling bilinearly interpolated onto the grid of twice its
-    sides, extrapolated linearly at the border, minus log 4; written into
-    ``out``, a flat array of the fine size, if given.
+    """A log-scaling of the 2x2-pooled grid bilinearly interpolated onto the
+    fine grid of ``shape = (height, width)``, extrapolated linearly at the
+    border, minus log 4; written into ``out``, a flat array, if given.
 
     Fine pixels 2i and 2i + 1 lie at coarse coordinates i - 1/4 and i + 1/4,
     so along each axis they take 3/4 of coarse value i and 1/4 of its
@@ -463,9 +463,9 @@ def _refine(log_v: np.ndarray, coarse: GridGeometry,
     translation.  A fine pixel holds about a quarter of its coarse pixel's
     mass on each side of the plan, hence the log 4.
     """
-    height, width = 2 * coarse.height, 2 * coarse.width
-    rows = np.empty((height, coarse.width))
-    _refine_axis(log_v.reshape(coarse.height, coarse.width), rows)
+    height, width = shape
+    rows = np.empty((height, width // 2))
+    _refine_axis(log_v.reshape(height // 2, width // 2), rows)
     fine = np.empty((height, width)) if out is None else out.reshape(height, width)
     _refine_axis(rows.T, fine.T)
     fine -= math.log(4.0)
@@ -608,8 +608,7 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
             if log_v.size == g.n:
                 np.copyto(v, log_v)
             else:
-                coarse = GridGeometry(g.width // 2, g.height // 2, 2.0 * g.pixel_size)
-                _refine(log_v, coarse, out=v)
+                _refine(log_v, (g.height, g.width), out=v)
             if not log_domain:
                 np.exp(v, out=v)
 

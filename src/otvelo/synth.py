@@ -21,7 +21,7 @@ import numpy as np
 
 from .otcore import (DEFAULT_MAX_ITER, DEFAULT_TOL, KernelSpec, resolve_mode,
                      sinkhorn, wasserstein_value)
-from .raster import DEFAULT_FLOOR, GridGeometry, IntensityRaster, normalize_to_mass
+from .raster import GridGeometry, IntensityRaster, normalize_to_mass
 
 SCENARIO_KINDS = ("translate", "split_equal", "split_unequal", "split_quad",
                   "multi_floe", "rotate")
@@ -264,14 +264,15 @@ class SweepPoint:
 
 
 def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
-          t_steps: int = 11, floor: float = DEFAULT_FLOOR,
-          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-          mode: str = "auto", log_domain: bool = False) -> list[SweepPoint]:
+          t_steps: int = 11, tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER, mode: str = "auto",
+          log_domain: bool = False) -> list[SweepPoint]:
     """Distance-vs-motion curves W_eps(t) - W_eps(0) on a shared t grid.
 
     Each t frame is rendered once and serves every eps.  Rows are ordered by
     eps, in the order of ``eps_list``, then by t; each eps curve starts at
-    exactly 0.
+    exactly 0.  ``iterations`` counts the sweeps of every level of a solve,
+    its pooled levels' (``coarse_iterations`` of :func:`sinkhorn`) included.
 
     The t steps are equal, so along one eps curve the log scalings
     (log u, log w) of the solves change almost linearly with t.  From the
@@ -287,7 +288,7 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
         raise ValueError("t_steps must be >= 2")
     resolved = resolve_mode(mode, scn.size * scn.size)
     ts = np.linspace(0.0, 1.0, t_steps)
-    frames = [normalize_to_mass(render(scn, float(t)), floor) for t in ts]
+    frames = [normalize_to_mass(render(scn, float(t))) for t in ts]
     rows: list[SweepPoint] = []
     for eps in eps_list:
         kernel = KernelSpec(float(eps), resolved)
@@ -304,8 +305,9 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
             w = wasserstein_value(frames[0], qt, pair, strict=False)
             if w0 is None:
                 w0 = w
-            rows.append(SweepPoint(float(eps), float(t), w - w0,
-                                   pair.iterations, pair.converged))
+            sweeps = pair.iterations + sum(n for _, _, n in pair.coarse_iterations)
+            rows.append(SweepPoint(float(eps), float(t), w - w0, sweeps,
+                                   pair.converged))
             before, last = last, pair
     return rows
 

@@ -193,20 +193,20 @@ def test_criterion_07_strain_identities():
     xs, ys = g.pixel_centers()
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
 
-    uniform = strain(VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT), g, DT)
+    uniform = strain(VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT), g)
     u_max = max(np.abs(uniform.exx).max(), np.abs(uniform.eyy).max(),
                 np.abs(uniform.exy).max())
     assert u_max <= 1e-12
 
     a, b, c, d = 2.0 ** -13, 2.0 ** -11, 2.0 ** -12, -2.0 ** -14
-    affine = strain(VelocityField(a * xm + b * ym, c * xm + d * ym, DT), g, DT)
+    affine = strain(VelocityField(a * xm + b * ym, c * xm + d * ym, DT), g)
     aff_err = max(np.abs(affine.exx - DT * a).max(),
                   np.abs(affine.eyy - DT * d).max(),
                   np.abs(affine.exy - 0.5 * DT * (b + c)).max())
     assert aff_err == 0.0
 
     om = 2.0 ** -12
-    rot = strain(VelocityField(-om * ym, om * xm, DT), g, DT)
+    rot = strain(VelocityField(-om * ym, om * xm, DT), g)
     rot_max = max(np.abs(rot.exx).max(), np.abs(rot.eyy).max(),
                   np.abs(rot.exy).max())
     assert rot_max == 0.0

@@ -347,6 +347,28 @@ def test_solve_no_mask_fills_background_pixels(tmp_path):
     assert np.isfinite(vx["all"][background]).all()
 
 
+def _solve_gray_pair(tmp_path, tag, *extra):
+    """vx and the summary of a solve of ``_gray_pair`` with ``extra`` flags."""
+    prefix = str(tmp_path / f"{tag}_")
+    assert main(["solve", *_gray_pair(tmp_path), "--out-prefix", prefix,
+                 "--eps", "1e-2", *extra]) == 0
+    vx, _ = read_field(f"{prefix}vx.f32")
+    return vx, json.loads(open(f"{prefix}summary.json").read())
+
+
+def test_solve_mask_threshold_masks_more_pixels(tmp_path):
+    # the block's values lie in 130..255: 200 leaves part of it out
+    vx_default, _ = _solve_gray_pair(tmp_path, "default")
+    vx_high, _ = _solve_gray_pair(tmp_path, "high", "--mask-threshold", "200")
+    assert np.isnan(vx_high).sum() > np.isnan(vx_default).sum()
+
+
+def test_solve_floor_moves_the_distance(tmp_path):
+    _, default = _solve_gray_pair(tmp_path, "default")
+    _, raised = _solve_gray_pair(tmp_path, "raised", "--floor", "1e-4")
+    assert np.isfinite(raised["w_eps"]) and raised["w_eps"] != default["w_eps"]
+
+
 def test_solve_principal_clip_bounds_the_raster(solved, translate_pair, tmp_path):
     prefix, _ = solved
     principal, _ = read_field(f"{prefix}principal.f32")
@@ -459,6 +481,15 @@ def test_oracle_cli_ignores_timestamps(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == ordered
 
 
+def test_oracle_cli_floor_moves_the_value(tmp_path, capsys):
+    pair = _shift_pair(tmp_path, 8)
+    values = []
+    for extra in ([], ["--floor", "1e-2"]):
+        assert main(["oracle", *pair, *extra]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[1] != values[0]
+
+
 def test_oracle_cli_refuses_large_grid_before_allocating(tmp_path, capsys):
     # the 4096^2 cost of a 64^2 pair would take 134 MB per array
     pair = _shift_pair(tmp_path, 64)
@@ -498,6 +529,27 @@ def test_synth_cli_writes_loadable_pair(tmp_path):
     assert src.timestamp == 0.0
     assert tgt.timestamp == pytest.approx(0.5 * 86400.0)
     assert not np.array_equal(src.values, tgt.values)
+
+
+def test_synth_cli_pixel_size_reaches_the_sidecar(tmp_path):
+    prefix = str(tmp_path / "scene_")
+    assert main(["synth", "--scenario", "translate", "--size", "16",
+                 "--pixel-size", "500", "--out-prefix", prefix]) == 0
+    for name in ("source", "target"):
+        sidecar = json.loads(Path(f"{prefix}{name}.json").read_text())
+        assert sidecar["pixel_size_m"] == 500.0
+        assert load_raster(f"{prefix}{name}.pgm").geometry.pixel_size == 500.0
+
+
+def test_synth_cli_shape_changes_the_frame(tmp_path):
+    frames = {}
+    for shape in ("polygon", "disc"):
+        prefix = str(tmp_path / f"{shape}_")
+        assert main(["synth", "--scenario", "translate", "--size", "32",
+                     "--shape", shape, "--out-prefix", prefix]) == 0
+        frames[shape] = load_raster(f"{prefix}source.pgm").values
+    assert frames["disc"].any()
+    assert not np.array_equal(frames["disc"], frames["polygon"])
 
 
 def test_module_cli_runs_main(tmp_path):
@@ -586,6 +638,25 @@ def test_ncc_cli_recovers_known_shift(tmp_path):
     assert (10.0, 0.0) in confident
 
 
+def test_ncc_cli_threshold_drops_weak_matches(tmp_path):
+    # a random texture and the same texture 3 px to the right under added
+    # noise: the windows correlate at about 0.8
+    g = GridGeometry(64, 64, 250.0)
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0.0, 255.0, (64, 64))
+    b = np.clip(np.roll(a, 3, axis=1) + rng.normal(0.0, 60.0, a.shape), 0.0, 255.0)
+    save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
+    save_raster(IntensityRaster(g, b, 86400.0), tmp_path / "b.pgm")
+    counts = {}
+    for threshold in ("0.25", "0.99"):
+        out = tmp_path / f"ncc_{threshold}.csv"
+        assert main(["ncc", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+                     "--window", "16", "--search-radius", "6",
+                     "--threshold", threshold, "--out", str(out)]) == 0
+        counts[threshold] = len(out.read_text().splitlines()) - 1
+    assert counts["0.25"] > counts["0.99"]
+
+
 def test_compare_features_reports_errors_and_exclusions(solved, tmp_path, capsys):
     prefix, _ = solved
     vx, _ = read_field(f"{prefix}vx.f32")
@@ -614,6 +685,18 @@ def test_compare_features_reports_errors_and_exclusions(solved, tmp_path, capsys
     assert len(report["features"]) == 2
     for entry in report["features"]:
         assert entry["manual_dx_m"] == pytest.approx(5 * 250.0)
+
+
+def test_compare_features_skips_blank_lines(solved, tmp_path):
+    prefix, _ = solved
+    rows = ["src_x,src_y,tgt_x,tgt_y", "14,16,19,16", "16,16,21,16"]
+    reports = []
+    for lines in (rows, [rows[0], "", rows[1], "  ", rows[2], ""]):
+        feats = tmp_path / "features.csv"
+        feats.write_text("\n".join(lines) + "\n")
+        reports.append(compare_features(prefix, str(feats)))
+    assert reports[0]["count"] == 2
+    assert reports[1] == reports[0]
 
 
 def test_compare_features_out_of_grid_exits_1(solved, tmp_path, capsys):

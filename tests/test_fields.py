@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from otvelo import (
-    GridGeometry, KernelSpec, MassField, NotConvergedError, VelocityField,
-    barycentric_map, make_scenario, normalize_to_mass, principal_strain,
-    render_pair, sinkhorn, strain, transport_distance, transport_speed,
-    velocity,
+    BarycentricMap, GridGeometry, KernelSpec, MassField, NotConvergedError,
+    TransportSummary, VelocityField, barycentric_map, make_scenario,
+    normalize_to_mass, principal_strain, render_pair, sinkhorn, strain,
+    transport_distance, transport_speed, velocity,
 )
 
 DT = 86400.0
@@ -49,6 +49,15 @@ def test_transport_speed_units(mass_field):
     assert speed[0] == pytest.approx(0.5 * 500.0 / DT, rel=1e-3)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+def test_transport_speed_refuses_bad_dt(dt):
+    g = GridGeometry(4, 4, 250.0)
+    bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), np.ones(g.n, bool))
+    summary = TransportSummary(0.0, np.zeros(g.n), bmap)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        transport_speed(summary, g, dt)
+
+
 def test_uniform_pair_has_negligible_cbar(mass_field):
     g = GridGeometry(16, 16, 250.0)
     p = mass_field(g, np.ones(g.n))
@@ -85,8 +94,8 @@ def test_low_mass_pixels_gated_to_nan():
     assert np.all(np.isnan(summary.cbar[:8]))
     assert np.all(np.isnan(bmap.target_x[:8]))
     assert np.all(np.isfinite(summary.cbar[8:]))
-    assert np.array_equal(summary.valid, bmap.valid)
-    assert not summary.valid[:8].any()
+    assert np.array_equal(summary.target.valid, bmap.valid)
+    assert not summary.target.valid[:8].any()
 
 
 def test_strict_flag_on_unconverged_pair(mass_field):
@@ -173,11 +182,19 @@ def test_conv_log_domain_fields_match_linear():
         assert pair.converged
         out.append((transport_distance(p, pair, q=q), barycentric_map(p, pair)))
     (s_lin, b_lin), (s_log, b_log) = out
-    valid = s_lin.valid
+    valid = s_lin.target.valid
     assert valid.any()
     for a, b in ((s_lin.cbar, s_log.cbar), (b_lin.target_x, b_log.target_x),
                  (b_lin.target_y, b_log.target_y)):
         assert np.abs(a[valid] - b[valid]).max() <= 1e-9 * np.abs(a[valid]).max()
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("inf"), float("nan")])
+def test_velocity_refuses_bad_dt(dt):
+    g = GridGeometry(4, 4, 250.0)
+    bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), np.ones(g.n, bool))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        velocity(bmap, g, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +203,7 @@ def test_conv_log_domain_fields_match_linear():
 def test_uniform_velocity_strain_vanishes():
     g = GridGeometry(16, 16, 250.0)
     vel = VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT)
-    st = strain(vel, g, DT)
+    st = strain(vel, g)
     for comp in (st.exx, st.eyy, st.exy, st.principal):
         assert np.abs(comp).max() <= 1e-12
 
@@ -198,7 +215,7 @@ def test_affine_velocity_reproduces_analytic_strain():
     # power-of-two rates keep the finite differences exact
     a, b, c, d = 2.0 ** -13, 2.0 ** -11, 2.0 ** -12, -(2.0 ** -14)
     vel = VelocityField(a * xm + b * ym, c * xm + d * ym, DT)
-    st = strain(vel, g, DT)
+    st = strain(vel, g)
     assert np.abs(st.exx - DT * a).max() == 0.0
     assert np.abs(st.eyy - DT * d).max() == 0.0
     assert np.abs(st.exy - 0.5 * DT * (b + c)).max() == 0.0
@@ -210,7 +227,7 @@ def test_rigid_rotation_has_zero_strain():
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
     omega = 2.0 ** -12
     vel = VelocityField(-omega * ym, omega * xm, DT)
-    st = strain(vel, g, DT)
+    st = strain(vel, g)
     assert np.abs(st.exx).max() == 0.0
     assert np.abs(st.eyy).max() == 0.0
     assert np.abs(st.exy).max() == 0.0
@@ -222,7 +239,7 @@ def test_strain_is_linear_in_velocity():
     va = VelocityField(rng.normal(0, 1, g.n), rng.normal(0, 1, g.n), DT)
     vb = VelocityField(rng.normal(0, 1, g.n), rng.normal(0, 1, g.n), DT)
     vsum = VelocityField(va.vx + vb.vx, va.vy + vb.vy, DT)
-    sa, sb, ssum = strain(va, g, DT), strain(vb, g, DT), strain(vsum, g, DT)
+    sa, sb, ssum = strain(va, g), strain(vb, g), strain(vsum, g)
     assert np.allclose(ssum.exx, sa.exx + sb.exx, atol=1e-9)
     assert np.allclose(ssum.exy, sa.exy + sb.exy, atol=1e-9)
 
@@ -232,7 +249,7 @@ def test_strain_nan_propagation():
     vx = np.zeros(g.n)
     vx[27] = np.nan
     vel = VelocityField(vx, np.zeros(g.n), DT)
-    st = strain(vel, g, DT)
+    st = strain(vel, g)
     exx = st.exx.reshape(8, 8)
     exy = st.exy.reshape(8, 8)
     # stencils touching the nodata value go nodata; the pixel's own central
@@ -247,14 +264,11 @@ def test_strain_validation():
     g = GridGeometry(2, 8, 250.0)
     vel = VelocityField(np.zeros(g.n), np.zeros(g.n), DT)
     with pytest.raises(ValueError):
-        strain(vel, g, DT)
+        strain(vel, g)
     g2 = GridGeometry(8, 8, 250.0)
-    vel2 = VelocityField(np.zeros(g2.n), np.zeros(g2.n), DT)
-    with pytest.raises(ValueError):
-        strain(vel2, g2, 0.0)
-    with pytest.raises(ValueError):
-        velocity_like = VelocityField(np.zeros(g2.n), np.zeros(g2.n), -1.0)
-        strain(velocity_like, g2, -1.0)
+    for bad_dt in (0.0, -1.0):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            strain(VelocityField(np.zeros(g2.n), np.zeros(g2.n), bad_dt), g2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +280,7 @@ def test_principal_pure_shear():
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
     omega = 2.0 ** -12
     vel = VelocityField(omega * ym, omega * xm, DT)
-    st = strain(vel, g, DT)
+    st = strain(vel, g)
     # eigenvalues +/- exy; the tie resolves to the tensile branch
     assert np.allclose(st.principal, st.exy)
     assert st.principal[0] > 0

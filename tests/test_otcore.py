@@ -897,12 +897,11 @@ def test_coarsening_rule_boundaries():
 def test_refine_reproduces_affine_fields():
     # fine pixel j lies at coarse coordinate j / 2 - 1/4 on each axis, the
     # border pixels included
-    coarse = GridGeometry(5, 4, 1.0)
     rng = np.random.default_rng(21)
     a, bx, by = rng.normal(size=3)
     cy, cx = np.mgrid[0:4, 0:5]
     fy, fx = np.mgrid[0:8, 0:10] / 2.0 - 0.25
-    got = _refine((a + bx * cx + by * cy).reshape(-1), coarse)
+    got = _refine((a + bx * cx + by * cy).reshape(-1), (8, 10))
     want = (a + bx * fx + by * fy).reshape(-1) - math.log(4.0)
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 

@@ -322,6 +322,16 @@ def test_equalize_output_stays_in_range():
     assert eq.values.max() <= 255.0
 
 
+@pytest.mark.parametrize("height, width", [(8, 40), (40, 8)])
+def test_equalize_with_one_tile_along_an_axis(height, width):
+    # the axis of one tile blends nothing along it
+    vals = np.random.default_rng(6).uniform(0.0, 255.0, (height, width))
+    r = IntensityRaster(GridGeometry(width, height, 250.0), vals, 0.0)
+    eq = equalize_contrast(r, tile=8, clip_limit=2.0)
+    ref = clahe_reference(vals, 8, 2.0, np.ones((height, width), dtype=bool))
+    assert np.abs(eq.values - ref).max() < 1e-9
+
+
 def test_equalize_rejects_bad_tile():
     r = make_raster(width=6, height=4)
     with pytest.raises(ValueError):

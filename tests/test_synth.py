@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from otvelo import SCENARIO_KINDS, make_scenario, render, render_pair, sweep, sweep_to_csv
+from otvelo import (KernelSpec, SCENARIO_KINDS, make_scenario, normalize_to_mass, render,
+                    render_pair, sinkhorn, sweep, sweep_to_csv)
 from otvelo import synth
 from otvelo.synth import SWEEP_CSV_HEADER
 
@@ -223,6 +224,21 @@ def test_sweep_starts_from_two_converged_neighbours(monkeypatch):
                 assert np.array_equal(start[0], 2.0 * last.log_u - before.log_u)
                 assert np.array_equal(start[1], 2.0 * last.log_w - before.log_w)
     assert [kw["start"] is None for kw, _ in calls[5:]] == [True, True, False, False, False]
+
+
+def test_sweep_counts_the_sweeps_of_every_level():
+    # a 256^2 solve at eps 1e-3 runs a 128^2 pooled level first; both points
+    # of a two-step curve start cold, so each row counts what a direct
+    # sinkhorn call on its pair runs, pooled level included
+    scn = make_scenario("translate", size=256)
+    rows = sweep(scn, [1e-3], t_steps=2)
+    p = normalize_to_mass(render(scn, 0.0))
+    for row in rows:
+        pair = sinkhorn(p, normalize_to_mass(render(scn, row.t)),
+                        KernelSpec(1e-3, "conv"))
+        assert pair.coarse_iterations
+        assert row.iterations == pair.iterations + sum(
+            n for _, _, n in pair.coarse_iterations)
 
 
 def test_sweep_validation():
