@@ -148,8 +148,8 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
 def transport_speed(summary: TransportSummary, geometry: GridGeometry,
                     dt: float) -> np.ndarray:
     """Physical rendering of cbar: sqrt(cbar) * norm_scale / dt, in m/s."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
     return np.sqrt(summary.cbar) * (geometry.norm_scale / dt)
 
 
@@ -236,10 +236,10 @@ def _principal(exx: np.ndarray, eyy: np.ndarray, exy: np.ndarray) -> np.ndarray:
 
 def principal_strain(field: StrainField, clip: float | None = None) -> np.ndarray:
     """Signed principal strain of largest magnitude, optionally clipped to
-    [-clip, clip] for display."""
-    out = _principal(field.exx, field.eyy, field.exy)
-    if clip is not None:
-        if not clip > 0:
-            raise ValueError("clip bound must be positive")
-        out = np.clip(out, -clip, clip)
-    return out
+    [-clip, clip] for display: ``field.principal`` itself, not a copy,
+    without ``clip``, else a new clipped array."""
+    if clip is None:
+        return field.principal
+    if not clip > 0:
+        raise ValueError("clip bound must be positive")
+    return np.clip(field.principal, -clip, clip)

@@ -8,6 +8,7 @@ shifts in one ``einsum`` over a sliding-window view of the target, no copy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,8 +99,8 @@ def ncc_displacements(src: IntensityRaster, tgt: IntensityRaster,
 def matches_to_csv(matches: list[NccMatch], path: str | Path,
                    pixel_size: float, dt: float) -> None:
     """Write matches with their m/s conversion (shift * pixel_size / dt)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
     scale = pixel_size / dt
     lines = [CSV_HEADER]
     for m in matches:

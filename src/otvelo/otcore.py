@@ -57,22 +57,24 @@ Kronecker product of two 1-D Gaussian kernels (Solomon et al. 2015,
 passes, one per axis, with O(N) memory, and no N x N matrix is formed in
 either mode.  Each pass runs one GEMM per 128-row block of its band matrix
 over the block's nonzero column span, so it skips the band's exact zeros
-(truncated or underflowed weights) and changes results by rounding only; a
-band of one block, or whose spans cover more than three quarters of it,
-runs as one GEMM over the n x n band.  Only such a band is stored whole.
+(truncated or underflowed weights) and changes results by rounding only.
 The weights are nonzero out to an offset r (the truncation radius, or
 where they underflow) and zero beyond it, so every block of a band is a
-slice of one 128 x (128 + 2r) Toeplitz tile, tile[a, b] = weight[b - a - r]:
-rows [r0, r1) x columns [c0, c1) is tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r],
-and the spans follow from r by arithmetic.  Both axes share the tile, which
-at 2048 px and eps = 1e-3 holds 0.94 MB where the band would take 33.5 MB.
-Dense mode keeps every 1-D weight exp(-(k * pitch)^2 / eps), so it equals
-the N x N kernel to rounding at any grid size.  Convolutional mode
-truncates the weights at the radius where they fall to 1e-16 of the center
-weight.  The truncation also caps the displacement the convolutional kernel
-can carry at that many pixels, in linear and log-domain arithmetic alike: mass
-that must move farther never reaches the target marginal, and the solve stops
-at ``max_iter`` unconverged.
+slice of one m x (m + 2r) Toeplitz tile, m = min(128, longer side),
+tile[a, b] = weight[b - a - r]: rows [r0, r1) x columns [c0, c1) is
+tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r], and the spans follow from r by
+arithmetic.  Both axes share the tile, and no band is stored whole: at
+2048 px and eps = 1e-3 the tile holds 0.94 MB (3.75 MB in dense mode)
+where the band would take 33.5 MB.  An axis of at most 128 px is the one
+block tile[:n, r:n + r], and a grid of two such axes is applied as the one
+product band_y @ grid @ band_x.  Dense mode keeps every 1-D weight
+exp(-(k * pitch)^2 / eps), so it equals the N x N kernel to rounding at
+any grid size.  Convolutional mode truncates the weights at the radius
+where they fall to 1e-16 of the center weight.  The truncation also caps
+the displacement the convolutional kernel can carry at that many pixels,
+in linear and log-domain arithmetic alike: mass that must move farther
+never reaches the target marginal, and the solve stops at ``max_iter``
+unconverged.
 
 Log-domain iterations apply xi to log-scalings with the same two band
 matrices: along each 1-D line the log values are shifted by their maximum m,
@@ -93,7 +95,6 @@ however far u and w spread, whichever arithmetic the solve finished in.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -110,13 +111,8 @@ DEFAULT_MAX_ITER = 1000
 
 # exp(-x) <= 1e-16 once x >= 16 ln 10
 _TRUNCATION_EXPONENT = 16.0 * math.log(10.0)
-# each _BLOCK_ROWS-row block of a band matrix runs one GEMM over its nonzero
-# column span; a band with one block, or whose spans cover more than
-# _FULL_SPAN of it, runs as one GEMM, which is faster there.  One BLAS thread,
-# one 512^2 apply: 14.9 ms tiled against 13.0 ms as one GEMM on a full band,
-# break-even near 0.85 coverage, 12.9 against 15.2 ms at 0.71
+# rows of a band block: one GEMM over the block's nonzero column span
 _BLOCK_ROWS = 128
-_FULL_SPAN = 0.75
 # a max-shifted kernel sum below this may have lost digits to underflow;
 # above it, the terms that underflowed (each < 1e-307) do not matter
 _UNDERFLOW_SUM = 1e-280
@@ -208,20 +204,28 @@ def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
 
 class _SeparableOperator:
     """xi as two banded 1-D Gaussian passes of the given radius in px; memory
-    stays O(N): per axis either its full n x n band, where one product over
-    it is faster, or the nonzero blocks of the band, all slices of one
-    Toeplitz tile shared by both axes; plus one scratch grid."""
+    stays O(N): per axis the nonzero row blocks of its band, all slices of
+    one Toeplitz tile shared by both axes, plus one scratch grid."""
 
     def __init__(self, spec: KernelSpec, geometry: GridGeometry, radius: int):
         self.radius = radius
         self.shape = (geometry.height, geometry.width)
         self.pitch = geometry.pitch
         self.epsilon = spec.epsilon
+        longest = max(geometry.width, geometry.height)
+        offsets = np.arange(min(radius, longest - 1) + 1)
+        weights = np.exp(-(offsets * self.pitch) ** 2 / self.epsilon)
         # the last offset whose weight is nonzero: the truncation radius, or
         # where the weights underflow; every weight up to it is nonzero
-        self.reach = min(radius, max(geometry.width, geometry.height) - 1)
-        weights = self._weights(np.arange(self.reach + 1))
-        self.reach = int(np.flatnonzero(weights)[-1])
+        self.reach = r = int(np.flatnonzero(weights)[-1])
+        # tile[a, b] = weight[b - a - r], rows x (rows + 2 r): row a is
+        # line[rows - 1 - a:][:rows + 2 r], line[j] the weight of offset
+        # j + 1 - rows - r, 0.0 beyond r
+        rows = min(_BLOCK_ROWS, longest)
+        line = np.zeros(2 * (rows + r) - 1)
+        line[rows - 1:rows + 2 * r] = np.concatenate((weights[r:0:-1], weights[:r + 1]))
+        self._tile = np.lib.stride_tricks.sliding_window_view(
+            line, rows + 2 * r)[::-1].copy()
         self.band_x = self._band(geometry.width)
         self.band_y = (self.band_x if geometry.height == geometry.width
                        else self._band(geometry.height))
@@ -229,52 +233,25 @@ class _SeparableOperator:
         # is reentrant
         self._scratch = np.empty(geometry.n)
 
-    def _weights(self, offsets: np.ndarray) -> np.ndarray:
-        """The 1-D kernel weight of each pixel offset, 0.0 beyond the reach."""
-        weights = np.exp(-(offsets * self.pitch) ** 2 / self.epsilon)
-        weights[np.abs(offsets) > self.reach] = 0.0
-        return weights
-
-    def _toeplitz(self, rows: int, cols: int, shift: int) -> np.ndarray:
-        """The matrix m[a, b] = weight[b - a - shift], made from its
-        rows + cols - 1 weights."""
-        weights = self._weights(np.arange(1 - rows - shift, cols - shift))
-        # row a is weights[rows - 1 - a:rows - 1 - a + cols]
-        return np.lib.stride_tricks.sliding_window_view(weights, cols)[::-1].copy()
-
-    @functools.cached_property
-    def _tile(self) -> np.ndarray:
-        """tile[a, b] = weight[b - a - reach], _BLOCK_ROWS x (_BLOCK_ROWS +
-        2 reach): every block of a blocked band is a slice of it."""
-        return self._toeplitz(_BLOCK_ROWS, _BLOCK_ROWS + 2 * self.reach, self.reach)
-
-    def _band(self, n: int) -> np.ndarray | list:
+    def _band(self, n: int) -> list:
         """The symmetric Toeplitz band[i, j] = weight[i - j] of one n-pixel
-        axis: the n x n matrix where one product over it is faster, else
-        the (rows, cols, block) of each _BLOCK_ROWS-row block of it and the
-        column span outside which it is exactly 0.0, the block a view of
-        :attr:`_tile`."""
+        axis: the (rows, cols, block) of each block of it, cols the span
+        outside which it is exactly 0.0, block a view of the tile."""
         r = self.reach
-        spans = []
+        band = []
         for r0 in range(0, n, _BLOCK_ROWS):
             r1 = min(r0 + _BLOCK_ROWS, n)
-            spans.append((r0, r1, max(0, r0 - r), min(n, r1 + r)))
-        covered = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans)
-        # a single block always spans the whole band
-        if covered > _FULL_SPAN * n * n:
-            return self._toeplitz(n, n, 0)
-        return [(slice(r0, r1), slice(c0, c1),
-                 self._tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r])
-                for r0, r1, c0, c1 in spans]
+            c0, c1 = max(0, r0 - r), min(n, r1 + r)
+            band.append((slice(r0, r1), slice(c0, c1),
+                         self._tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r]))
+        return band
 
     @staticmethod
-    def _band_product(band: np.ndarray | list, grid: np.ndarray,
+    def _band_product(band: list, grid: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-        """band @ grid, into ``out`` if given: one GEMM over a full band, or
-        one per block of a blocked band, over the block's nonzero column
-        span; only exact zeros are skipped."""
-        if not isinstance(band, list):
-            return np.matmul(band, grid, out=out)
+        """band @ grid, into ``out`` if given: one GEMM per block of the
+        band, over the block's nonzero column span; only exact zeros are
+        skipped."""
         if out is None:
             out = np.empty(grid.shape)
         for rows, cols, block in band:
@@ -287,17 +264,17 @@ class _SeparableOperator:
         grid = v.reshape(self.shape)
         h, w = self.shape
         out = None if out is None else out.reshape(self.shape)
-        if not isinstance(self.band_x, list) and not isinstance(self.band_y, list):
-            # no transposed operands: faster on small grids (0.020 against
-            # 0.032 ms at 64^2)
-            first = np.matmul(self.band_y, grid, out=self._scratch.reshape(h, w))
-            return np.matmul(first, self.band_x, out=out).reshape(-1)
+        if len(self.band_x) == len(self.band_y) == 1:
+            # one block per axis: no transposed operands, faster on small
+            # grids (0.017 against 0.025 ms at 64^2, one BLAS thread)
+            first = np.matmul(self.band_y[0][2], grid, out=self._scratch.reshape(h, w))
+            return np.matmul(first, self.band_x[0][2], out=out).reshape(-1)
         # rows first, on the transposed grid (the bands are symmetric), then
         # columns, as in log_apply, so the result comes out C-ordered
         first = self._band_product(self.band_x, grid.T, self._scratch.reshape(w, h))
         return self._band_product(self.band_y, first.T, out).reshape(-1)
 
-    def _log_pass(self, grid: np.ndarray, band: np.ndarray | list,
+    def _log_pass(self, grid: np.ndarray, band: list,
                   out: np.ndarray | None = None) -> np.ndarray:
         """log(band @ exp(grid)) down each column, as one max-shifted
         :meth:`_band_product`, into ``out`` if given (``out`` may hold the
@@ -577,11 +554,13 @@ def _solve(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
     if not _coarsens(p.geometry, kernel.epsilon):
         zero = np.broadcast_to(0.0, (p.geometry.n,))
         return _solve_level(p, q, kernel, tol, max_iter, log_domain, (zero, zero))
-    coarse = _solve(_pool(p), _pool(q), kernel, tol, max_iter, log_domain)
+    pooled = _pool(p)
+    g = pooled.geometry
+    coarse = _solve(pooled, _pool(q), kernel, tol, max_iter, log_domain)
+    del pooled   # only its geometry is kept across the finer level
     pair = _solve_level(p, q, kernel, tol, max_iter, coarse.log_domain,
                         (coarse.log_u, coarse.log_w))
-    g = p.geometry
-    level = (g.width // 2, g.height // 2, coarse.iterations)
+    level = (g.width, g.height, coarse.iterations)
     return replace(pair, coarse_iterations=coarse.coarse_iterations + (level,))
 
 

@@ -7,6 +7,7 @@ from otvelo import (
     normalize_to_mass, principal_strain, render_pair, sinkhorn, strain,
     transport_distance, transport_speed, velocity,
 )
+from otvelo.fields import _principal
 
 DT = 86400.0
 
@@ -49,12 +50,12 @@ def test_transport_speed_units(mass_field):
     assert speed[0] == pytest.approx(0.5 * 500.0 / DT, rel=1e-3)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
 def test_transport_speed_refuses_bad_dt(dt):
     g = GridGeometry(4, 4, 250.0)
     bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), np.ones(g.n, bool))
     summary = TransportSummary(0.0, np.zeros(g.n), bmap)
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
         transport_speed(summary, g, dt)
 
 
@@ -287,12 +288,9 @@ def test_principal_pure_shear():
 
 
 def test_principal_canonical_tensors():
-    from otvelo import StrainField
-
     def principal_of(exx, eyy, exy):
         one = np.ones(1)
-        return principal_strain(StrainField(exx * one, eyy * one,
-                                            exy * one, None))[0]
+        return _principal(exx * one, eyy * one, exy * one)[0]
 
     assert principal_of(2.0, -1.0, 0.0) == pytest.approx(2.0)
     assert principal_of(-3.0, 1.0, 0.0) == pytest.approx(-3.0)  # compressive
@@ -304,8 +302,7 @@ def test_principal_exceeds_shear_component():
     exx = rng.normal(0, 1e-3, 64)
     eyy = rng.normal(0, 1e-3, 64)
     exy = rng.normal(0, 1e-3, 64)
-    from otvelo import StrainField
-    out = principal_strain(StrainField(exx, eyy, exy, None))
+    out = _principal(exx, eyy, exy)
     assert np.all(np.abs(out) + 1e-15 >= np.abs(exy))
 
 
@@ -318,28 +315,37 @@ def test_principal_rotation_invariance():
     t = np.array([[exx, exy], [exy, eyy]])
     r = np.array([[c, -s], [s, c]])
     tr = r @ t @ r.T
-    from otvelo import StrainField
-    a = principal_strain(StrainField(np.array([exx]), np.array([eyy]),
-                                     np.array([exy]), None))
-    b = principal_strain(StrainField(np.array([tr[0, 0]]), np.array([tr[1, 1]]),
-                                     np.array([tr[0, 1]]), None))
+    a = _principal(np.array([exx]), np.array([eyy]), np.array([exy]))
+    b = _principal(np.array([tr[0, 0]]), np.array([tr[1, 1]]), np.array([tr[0, 1]]))
     assert a[0] == pytest.approx(b[0], rel=1e-12)
 
 
 def test_principal_clip():
     from otvelo import StrainField
-    st = StrainField(np.array([5e-2, -5e-2]), np.zeros(2), np.zeros(2), None)
+    st = StrainField(np.array([5e-2, -5e-2]), np.zeros(2), np.zeros(2),
+                     np.array([5e-2, -5e-2]))
     out = principal_strain(st, clip=1e-2)
     assert out.tolist() == [1e-2, -1e-2]
     with pytest.raises(ValueError):
         principal_strain(st, clip=0.0)
 
 
+def test_principal_strain_reads_the_strain_field():
+    # without a clip the result is the field's own principal array; with
+    # one it is that array clipped
+    g = GridGeometry(16, 12, 250.0)
+    rng = np.random.default_rng(21)
+    st = strain(VelocityField(rng.normal(0.0, 1e-3, g.n),
+                              rng.normal(0.0, 1e-3, g.n), DT), g)
+    assert principal_strain(st) is st.principal
+    c = 0.5 * np.abs(st.principal).max()
+    assert np.array_equal(principal_strain(st, clip=c), np.clip(st.principal, -c, c))
+
+
 def test_principal_picks_the_larger_magnitude_bit_for_bit():
     # the pick of the larger-magnitude eigenvalue, made without a float
     # temporary, is |hi| >= |lo| on every value: signed zeros, NaN, inf and
     # sums that overflow included
-    from otvelo import StrainField
     values = np.array([0.0, -0.0, 1e-3, -1e-3, 2.0, -2.0, 5e-324, 1e200,
                        -1e200, np.inf, -np.inf, np.nan])
     exx, eyy, exy = (v.reshape(-1) for v in np.meshgrid(values, values, values))
@@ -348,5 +354,5 @@ def test_principal_picks_the_larger_magnitude_bit_for_bit():
         radius = np.sqrt(((exx - eyy) * 0.5) ** 2 + exy ** 2)
         hi, lo = mean + radius, mean - radius
         ref = np.where(np.abs(hi) >= np.abs(lo), hi, lo)
-        got = principal_strain(StrainField(exx, eyy, exy, None))
+        got = _principal(exx, eyy, exy)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -126,6 +126,15 @@ def test_csv_output(tmp_path):
     assert float(first[4]) == pytest.approx(matches[0].dx * 250.0 / 86400.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_csv_refuses_bad_dt(tmp_path, dt):
+    # an infinite interval would write 0 m/s for every match
+    path = tmp_path / "matches.csv"
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        matches_to_csv([], path, pixel_size=250.0, dt=dt)
+    assert not path.exists()
+
+
 def reference_matches(src, tgt, window, search_radius, threshold, stride):
     """Brute-force ZNCC: np.corrcoef at every in-bounds shift, flat windows
     skipped, the first peak in row-major (dy, dx) order kept."""

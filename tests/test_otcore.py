@@ -189,13 +189,11 @@ def blocked_product(band, ref, grid):
 def test_tiled_apply_skips_only_exact_zeros(eps, mode):
     g = TILED
     op = _make_operator(KernelSpec(eps, mode), g)
-    assert isinstance(op.band_x, list)   # the band holds exact zeros to skip
+    # the band holds exact zeros to skip
+    assert any(cols != slice(0, g.width) for _, cols, _ in op.band_x)
     refs = {}
     for band, n in ((op.band_x, g.width), (op.band_y, g.height)):
         refs[n] = ref = offset_band(n, eps, g.pitch, op.radius)
-        if not isinstance(band, list):
-            assert np.array_equal(band, ref)
-            continue
         covered = np.zeros(ref.shape, dtype=bool)
         for rows, cols, block in band:
             covered[rows, cols] = True
@@ -210,8 +208,7 @@ def test_tiled_apply_skips_only_exact_zeros(eps, mode):
     # the blocks of the tile give the products of the full band's blocks,
     # bit for bit
     first = blocked_product(op.band_x, refs[g.width], v.reshape(g.height, g.width).T)
-    second = (blocked_product(op.band_y, refs[g.height], first.T)
-              if isinstance(op.band_y, list) else refs[g.height] @ first.T)
+    second = blocked_product(op.band_y, refs[g.height], first.T)
     assert np.array_equal(got, second)
     # a spread of 1e4 underflows most shifted sums into the exact fallback
     radius = required_truncation_radius(eps, g) if mode == "conv" else g.width
@@ -229,38 +226,44 @@ def test_tiled_apply_skips_only_exact_zeros(eps, mode):
     (TILED, 1e-2, "dense"),   # a band without zeros
 ])
 def test_single_product_apply_is_unchanged(geometry, eps, mode):
+    # an axis of at most 128 px is one block, and a grid of such axes is
+    # applied as the one product band_y @ grid @ band_x, bit for bit; a
+    # longer axis runs the blocked passes, even where its band has no zeros
     op = _make_operator(KernelSpec(eps, mode), geometry)
     band_x = offset_band(geometry.width, eps, geometry.pitch, op.radius)
     band_y = offset_band(geometry.height, eps, geometry.pitch, op.radius)
-    assert np.array_equal(op.band_x, band_x) and np.array_equal(op.band_y, band_y)
     v = np.random.default_rng(11).uniform(0.0, 1.0, geometry.n)
     grid = v.reshape(geometry.height, geometry.width)
-    ref = (band_y @ grid @ band_x).reshape(-1)
-    assert np.array_equal(op.apply(v), ref)
+    if max(geometry.width, geometry.height) <= 128:
+        ((_, _, block_x),), ((_, _, block_y),) = op.band_x, op.band_y
+        assert np.array_equal(block_x, band_x) and np.array_equal(block_y, band_y)
+        ref = band_y @ grid @ band_x
+    else:
+        first = blocked_product(op.band_x, band_x, grid.T)
+        ref = blocked_product(op.band_y, band_y, first.T)
+    assert np.array_equal(op.apply(v), ref.reshape(-1))
 
 
 @pytest.mark.parametrize("n, eps, mode", [
     (9, 1e-2, "dense"), (300, 1e-3, "conv"), (140, 1e-4, "dense"), (512, 1e-3, "conv"),
 ])
 def test_band_from_weights_matches_offset_formula(n, eps, mode):
-    # the band, or the tile its blocks are cut from, is made from its
-    # weights, bit for bit the weights of the n x n offset formula,
-    # truncated at the same radius
+    # the tile the blocks are cut from is made from its weights, bit for
+    # bit the weights of the n x n offset formula, truncated at the same
+    # radius
     g = GridGeometry(n, n, 250.0)
     op = _make_operator(KernelSpec(eps, mode), g)
     ref = offset_band(n, eps, g.pitch, op.radius)
     assert op.band_y is op.band_x   # a square grid keeps one band
-    if not isinstance(op.band_x, list):
-        assert np.array_equal(op.band_x, ref)
-        return
     got = np.zeros((n, n))
     for rows, cols, block in op.band_x:
         got[rows, cols] = block
     assert np.array_equal(got, ref)
-    # every block is a view of one tile of 128 x (128 + 2 r) weights,
-    # r the last offset whose weight is nonzero
+    # every block is a view of one tile of min(128, n) x (min(128, n) + 2 r)
+    # weights, r the last offset whose weight is nonzero
     (tile,) = {id(block.base): block.base for _, _, block in op.band_x}.values()
-    assert tile.shape == (128, 128 + 2 * op.reach)
+    rows = min(128, n)
+    assert tile.shape == (rows, rows + 2 * op.reach)
     assert ref[op.reach, 0] != 0.0 and (op.reach == n - 1 or ref[op.reach + 1, 0] == 0.0)
 
 
@@ -275,8 +278,24 @@ def test_wide_operator_keeps_a_tile_not_a_band():
     finally:
         tracemalloc.stop()
     scratch = 8 * g.n
-    assert isinstance(op.band_x, list) and op.reach == 394
+    assert op.reach == 394
     assert kept - scratch <= 2e6 and peak - scratch <= 2e6
+
+
+def test_dense_operator_keeps_a_tile_not_a_band():
+    # dense mode keeps every weight down to where they underflow, 1767 px
+    # out at 2048 px and eps 1e-3; the band of the 2048 px axis would take
+    # 33.5 MB, the tile of 128 x (128 + 2 * 1767) weights takes 3.75 MB
+    g = GridGeometry(2048, 8, 250.0)
+    tracemalloc.start()
+    try:
+        op = _make_operator(KernelSpec(1e-3, "dense"), g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = 8 * g.n
+    assert op.reach == 1767
+    assert kept - scratch <= 4e6 and peak - scratch <= 4e6
 
 
 def test_exact_fallback_takes_no_padded_copy():
@@ -329,9 +348,9 @@ def test_apply_into_out_matches_a_new_array(geometry, eps, mode):
 ])
 def test_log_apply_is_the_plain_max_shifted_product(geometry, eps, mode):
     # away from underflow each pass is log(band @ exp(grid - top)) + top
-    # with numpy's own temporaries and the n x n band of the offset formula
-    # (per block where the operator tiles it), bit for bit: the shifted
-    # grid the GEMM reads keeps the transposed layout of ``grid - top``
+    # with numpy's own temporaries and the blocks of the n x n band of the
+    # offset formula, bit for bit: the shifted grid the GEMM reads keeps
+    # the transposed layout of ``grid - top``
     op = _make_operator(KernelSpec(eps, mode), geometry)
     lv = np.random.default_rng(13).uniform(-30.0, 30.0, geometry.n)
     grid = lv.reshape(op.shape).T
@@ -339,8 +358,7 @@ def test_log_apply_is_the_plain_max_shifted_product(geometry, eps, mode):
         top = grid.max(axis=0)
         ref = offset_band(n, eps, geometry.pitch, op.radius)
         shifted = np.exp(grid - top)
-        product = (blocked_product(band, ref, shifted) if isinstance(band, list)
-                   else ref @ shifted)
+        product = blocked_product(band, ref, shifted)
         grid = (np.log(product) + top).T
     assert np.array_equal(op.log_apply(lv), grid.T.reshape(-1))
 
