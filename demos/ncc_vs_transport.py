@@ -11,8 +11,8 @@ Run:  python3 demos/ncc_vs_transport.py      (about 0.1 s)
 import numpy as np
 
 from otvelo import (
-    GridGeometry, IntensityRaster, KernelSpec, barycentric_map,
-    ncc_displacements, normalize_to_mass, sinkhorn, velocity,
+    GridGeometry, IntensityRaster, KernelSpec, ncc_displacements,
+    normalize_to_mass, sinkhorn, transport_distance, velocity,
 )
 
 SIZE, SHIFT = 64, 5
@@ -38,7 +38,7 @@ def run():
     p = normalize_to_mass(src)
     q = normalize_to_mass(tgt)
     pair = sinkhorn(p, q, KernelSpec(2e-3, "dense"), tol=1e-6, max_iter=20000)
-    vel = velocity(barycentric_map(p, pair, strict=False), g, DT)
+    vel = velocity(transport_distance(p, pair, q, strict=False).target, DT)
     vx = vel.vx.reshape(SIZE, SIZE)
     floe = base > 0
     inner = floe.copy()

@@ -38,8 +38,8 @@ def run():
     # one pass of the coupling moments gives the distance, the cost map and
     # the barycentric map
     summary = transport_distance(p, pair, q=q)
-    vel = velocity(summary.target, g, DT)
-    st = strain(vel, g)
+    vel = velocity(summary.target, DT)
+    st = strain(vel)
 
     vx = vel.vx.reshape(SIZE, SIZE)
     vy = vel.vy.reshape(SIZE, SIZE)

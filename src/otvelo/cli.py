@@ -153,6 +153,9 @@ def _time_step(args, src: raster.IntensityRaster, tgt: raster.IntensityRaster) -
     dt = args.dt if args.dt is not None else tgt.timestamp - src.timestamp
     if not dt > 0:
         raise ValueError("target must be later than source (or pass --dt)")
+    if not np.isfinite(dt):
+        raise ValueError(f"the sidecar timestamps are {dt} s apart, which is "
+                         "not finite (or pass --dt)")
     return dt
 
 
@@ -204,27 +207,25 @@ def cmd_solve(args) -> int:
         raster.write_field(f"{args.out_prefix}{name}.f32", data, g)
 
     write("cbar", summary.cbar)
-    write("cbar_ms", fields.transport_speed(summary, g, dt))
+    write("cbar_ms", fields.transport_speed(summary, dt))
     bmap = summary.target
     del summary
-    vel = fields.velocity(bmap, g, dt)
-    valid = bmap.valid
+    vel = fields.velocity(bmap, dt)
     del bmap
     write("vx", vel.vx)
     write("vy", vel.vy)
-    st = fields.strain(vel, g)
+    st = fields.strain(vel)
     write("exx", st.exx)
     write("eyy", st.eyy)
     write("exy", st.exy)
-    write("principal", st.principal if args.principal_clip is None
-          else fields.principal_strain(st, clip=args.principal_clip))
+    write("principal", fields.principal_strain(st, clip=args.principal_clip))
     Path(f"{args.out_prefix}summary.json").write_text(
         json.dumps(report, indent=2) + "\n")
 
     if args.vectors_csv:
         keep = np.zeros((g.height, g.width), dtype=bool)
         keep[::args.thin, ::args.thin] = True
-        keep = keep.reshape(-1) & valid & np.isfinite(vel.vx)
+        keep = keep.reshape(-1) & np.isfinite(vel.vx)
         lines = ["x_px,y_px,vx_m_per_s,vy_m_per_s"] + [
             f"{i % g.width},{i // g.width},{vel.vx[i]:.9g},{vel.vy[i]:.9g}"
             for i in np.flatnonzero(keep)]

@@ -23,11 +23,11 @@ LOW_MASS_FACTOR = 10.0
 
 @dataclass(frozen=True, eq=False)
 class BarycentricMap:
-    """Conditional mean target position per source pixel, normalized coords."""
+    """Conditional mean target position per pixel of ``geometry``, normalized."""
 
     target_x: np.ndarray
     target_y: np.ndarray
-    valid: np.ndarray
+    geometry: GridGeometry
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +36,7 @@ class TransportSummary:
     barycentric map formed from the same first moments of the coupling.
 
     ``cbar[i] = sum_j gamma_ij c_ij / p_i`` in normalized squared units,
-    NaN outside ``target.valid``.
+    NaN where ``target`` is NaN.
     """
 
     w_eps: float
@@ -46,11 +46,12 @@ class TransportSummary:
 
 @dataclass(frozen=True, eq=False)
 class VelocityField:
-    """Per-pixel velocity in m/s over the acquisition interval ``dt`` seconds."""
+    """Per-pixel velocity in m/s over ``dt`` seconds on the grid ``geometry``."""
 
     vx: np.ndarray
     vy: np.ndarray
     dt: float
+    geometry: GridGeometry
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +143,14 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
     rows /= mass
     rows = rows.reshape(-1)
     rows[~valid] = np.nan
-    return TransportSummary(w_eps, rows, BarycentricMap(target_x, target_y, valid))
+    return TransportSummary(w_eps, rows, BarycentricMap(target_x, target_y, g))
 
 
-def transport_speed(summary: TransportSummary, geometry: GridGeometry,
-                    dt: float) -> np.ndarray:
+def transport_speed(summary: TransportSummary, dt: float) -> np.ndarray:
     """Physical rendering of cbar: sqrt(cbar) * norm_scale / dt, in m/s."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
-    return np.sqrt(summary.cbar) * (geometry.norm_scale / dt)
+    return np.sqrt(summary.cbar) * (summary.target.geometry.norm_scale / dt)
 
 
 def barycentric_map(p: MassField, pair: ScalingPair,
@@ -168,13 +168,16 @@ def barycentric_map(p: MassField, pair: ScalingPair,
     valid = _valid_pixels(p)
     moment = _moments(p, pair)
     return BarycentricMap(_target(moment(np.log(x)), p, valid),
-                          _target(moment(np.log(y)[:, None]), p, valid), valid)
+                          _target(moment(np.log(y)[:, None]), p, valid),
+                          p.geometry)
 
 
-def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> VelocityField:
-    """Velocity (x_q - x_p) * norm_scale / dt at each source pixel, m/s."""
+def velocity(bmap: BarycentricMap, dt: float) -> VelocityField:
+    """Velocity (x_q - x_p) * norm_scale / dt at each source pixel, m/s, on
+    the grid ``bmap.geometry``."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
+    geometry = bmap.geometry
     x, y = geometry._axis_centers()
     shape = (geometry.height, geometry.width)
     scale = geometry.norm_scale / dt
@@ -182,17 +185,18 @@ def velocity(bmap: BarycentricMap, geometry: GridGeometry, dt: float) -> Velocit
     vx *= scale
     vy = bmap.target_y.reshape(shape) - y[:, None]
     vy *= scale
-    return VelocityField(vx.reshape(-1), vy.reshape(-1), dt)
+    return VelocityField(vx.reshape(-1), vy.reshape(-1), dt, geometry)
 
 
-def strain(vel: VelocityField, geometry: GridGeometry) -> StrainField:
-    """Incremental strain  e = (dt / 2) (grad v + grad v^T), dt = ``vel.dt``.
+def strain(vel: VelocityField) -> StrainField:
+    """Incremental strain  e = (dt / 2) (grad v + grad v^T), dt = ``vel.dt``,
+    on the grid ``vel.geometry``.
 
     Spatial derivatives use second-order central differences inside the grid
     and second-order one-sided stencils on the boundary (grid spacing is
     ``pixel_size`` meters).  Any stencil touching a NaN velocity yields NaN.
     """
-    dt = vel.dt
+    dt, geometry = vel.dt, vel.geometry
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if geometry.width < 3 or geometry.height < 3:

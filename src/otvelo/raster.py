@@ -210,7 +210,7 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
     """Load an 8-bit binary PGM (P5) plus its JSON sidecar.
 
     The sidecar defaults to the image path with a ``.json`` suffix and must
-    provide ``pixel_size_m`` (> 0) and ``timestamp_s``.
+    provide a finite ``pixel_size_m`` (> 0) and a finite ``timestamp_s``.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -240,6 +240,9 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
     meta = _read_sidecar(meta_path, ("pixel_size_m", "timestamp_s"))
     if not meta["pixel_size_m"] > 0:
         raise MetadataError(f"{meta_path}: pixel_size_m must be positive")
+    for key in ("pixel_size_m", "timestamp_s"):
+        if not math.isfinite(meta[key]):
+            raise MetadataError(f"{meta_path}: '{key}' must be finite, got {meta[key]}")
     geometry = GridGeometry(width, height, float(meta["pixel_size_m"]))
     return IntensityRaster(geometry, values, float(meta["timestamp_s"]))
 

@@ -174,7 +174,7 @@ def test_criterion_06_block_translation_velocity_recovery():
     pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"), tol=1e-6, max_iter=20000)
     assert pair.converged
     bm = barycentric_map(p, pair, strict=False)
-    vel = velocity(bm, g, DT)
+    vel = velocity(bm, DT)
     inner = np.zeros((size, size), dtype=bool)
     inner[lo + 3:hi - 3, lo + 3:hi - 3] = True
     dx = vel.vx.reshape(size, size)[inner] * DT
@@ -193,20 +193,20 @@ def test_criterion_07_strain_identities():
     xs, ys = g.pixel_centers()
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
 
-    uniform = strain(VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT), g)
+    uniform = strain(VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT, g))
     u_max = max(np.abs(uniform.exx).max(), np.abs(uniform.eyy).max(),
                 np.abs(uniform.exy).max())
     assert u_max <= 1e-12
 
     a, b, c, d = 2.0 ** -13, 2.0 ** -11, 2.0 ** -12, -2.0 ** -14
-    affine = strain(VelocityField(a * xm + b * ym, c * xm + d * ym, DT), g)
+    affine = strain(VelocityField(a * xm + b * ym, c * xm + d * ym, DT, g))
     aff_err = max(np.abs(affine.exx - DT * a).max(),
                   np.abs(affine.eyy - DT * d).max(),
                   np.abs(affine.exy - 0.5 * DT * (b + c)).max())
     assert aff_err == 0.0
 
     om = 2.0 ** -12
-    rot = strain(VelocityField(-om * ym, om * xm, DT), g)
+    rot = strain(VelocityField(-om * ym, om * xm, DT, g))
     rot_max = max(np.abs(rot.exx).max(), np.abs(rot.eyy).max(),
                   np.abs(rot.exy).max())
     assert rot_max == 0.0

@@ -235,6 +235,20 @@ def test_solve_requires_forward_time(translate_pair, tmp_path, capsys):
     assert rc == 0
 
 
+def test_solve_refuses_an_infinite_interval_before_solving(tmp_path, capsys):
+    # both timestamps are finite, but their difference overflows to inf
+    g = GridGeometry(16, 16, 250.0)
+    a = np.zeros((16, 16))
+    a[6:10, 4:8] = 255.0
+    save_raster(IntensityRaster(g, a, -1.7e308), tmp_path / "a.pgm")
+    save_raster(IntensityRaster(g, np.roll(a, 2, axis=1), 1.7e308), tmp_path / "b.pgm")
+    rc = main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+               "--out-prefix", str(tmp_path / "o_")])
+    assert rc == 1
+    assert "not finite (or pass --dt)" in capsys.readouterr().err
+    assert list(tmp_path.glob("o_*")) == []
+
+
 def test_solve_max_iter_cap_exits_2_with_outputs(translate_pair, tmp_path):
     prefix = str(tmp_path / "cap_")
     rc = main(["solve", *translate_pair, "--out-prefix", prefix,

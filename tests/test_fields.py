@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from otvelo import (
-    BarycentricMap, GridGeometry, KernelSpec, MassField, NotConvergedError,
-    TransportSummary, VelocityField, barycentric_map, make_scenario,
-    normalize_to_mass, principal_strain, render_pair, sinkhorn, strain,
-    transport_distance, transport_speed, velocity,
+    BarycentricMap, GridGeometry, IntensityRaster, KernelSpec, MassField,
+    NotConvergedError, TransportSummary, VelocityField, apply_ice_mask,
+    barycentric_map, make_scenario, normalize_to_mass, principal_strain,
+    render_pair, sinkhorn, strain, transport_distance, transport_speed,
+    velocity,
 )
 from otvelo.fields import _principal
 
@@ -45,7 +46,7 @@ def test_transport_speed_units(mass_field):
     pair = sinkhorn(p, q, KernelSpec(1e-4, "dense"), tol=1e-12,
                     max_iter=100000, log_domain=True)
     summary = transport_distance(p, pair, q=q)
-    speed = transport_speed(summary, g, DT)
+    speed = transport_speed(summary, DT)
     # sqrt(0.25) * (2 * 250 m) / 86400 s
     assert speed[0] == pytest.approx(0.5 * 500.0 / DT, rel=1e-3)
 
@@ -53,10 +54,10 @@ def test_transport_speed_units(mass_field):
 @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
 def test_transport_speed_refuses_bad_dt(dt):
     g = GridGeometry(4, 4, 250.0)
-    bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), np.ones(g.n, bool))
+    bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), g)
     summary = TransportSummary(0.0, np.zeros(g.n), bmap)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        transport_speed(summary, g, dt)
+        transport_speed(summary, dt)
 
 
 def test_uniform_pair_has_negligible_cbar(mass_field):
@@ -95,8 +96,9 @@ def test_low_mass_pixels_gated_to_nan():
     assert np.all(np.isnan(summary.cbar[:8]))
     assert np.all(np.isnan(bmap.target_x[:8]))
     assert np.all(np.isfinite(summary.cbar[8:]))
-    assert np.array_equal(summary.target.valid, bmap.valid)
-    assert not summary.target.valid[:8].any()
+    assert np.array_equal(np.isfinite(summary.target.target_x),
+                          np.isfinite(bmap.target_x))
+    assert not np.isfinite(summary.target.target_x[:8]).any()
 
 
 def test_strict_flag_on_unconverged_pair(mass_field):
@@ -137,7 +139,7 @@ def test_identity_pair_maps_pixels_to_themselves(mass_field):
     xs, ys = g.pixel_centers()
     assert np.abs(bm.target_x - xs).max() <= 1e-9
     assert np.abs(bm.target_y - ys).max() <= 1e-9
-    vel = velocity(bm, g, DT)
+    vel = velocity(bm, DT)
     assert np.abs(vel.vx).max() <= 1e-9
     assert np.abs(vel.vy).max() <= 1e-9
 
@@ -153,7 +155,7 @@ def test_single_pixel_mass_velocity(mass_field):
     q = mass_field(g, tgt)
     pair = sinkhorn(p, q, KernelSpec(2e-3, "dense"), tol=1e-8, max_iter=10000)
     bm = barycentric_map(p, pair, strict=False)
-    vel = velocity(bm, g, DT)
+    vel = velocity(bm, DT)
     vx = vel.vx.reshape(32, 32)[16, 10]
     expected = 5 * 250.0 / DT  # 0.014468 m/s
     assert vx == pytest.approx(expected, rel=0.05)
@@ -183,7 +185,7 @@ def test_conv_log_domain_fields_match_linear():
         assert pair.converged
         out.append((transport_distance(p, pair, q=q), barycentric_map(p, pair)))
     (s_lin, b_lin), (s_log, b_log) = out
-    valid = s_lin.target.valid
+    valid = np.isfinite(s_lin.target.target_x)
     assert valid.any()
     for a, b in ((s_lin.cbar, s_log.cbar), (b_lin.target_x, b_log.target_x),
                  (b_lin.target_y, b_log.target_y)):
@@ -193,9 +195,32 @@ def test_conv_log_domain_fields_match_linear():
 @pytest.mark.parametrize("dt", [0.0, -1.0, float("inf"), float("nan")])
 def test_velocity_refuses_bad_dt(dt):
     g = GridGeometry(4, 4, 250.0)
-    bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), np.ones(g.n, bool))
+    bmap = BarycentricMap(np.zeros(g.n), np.zeros(g.n), g)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        velocity(bmap, g, dt)
+        velocity(bmap, dt)
+
+
+def test_fields_read_the_grid_of_a_non_square_pair():
+    # 40 px wide, 30 high: a width/height mix-up in velocity or strain moves
+    # the median off 4 px or breaks the stencils' reference below
+    g = GridGeometry(40, 30, 250.0)
+    src = np.zeros((30, 40))
+    src[8:20, 10:24] = 255.0
+    rs = IntensityRaster(g, src, 0.0)
+    rt = IntensityRaster(g, np.roll(src, 4, axis=1), DT)
+    p = normalize_to_mass(rs, mask=apply_ice_mask(rs))
+    q = normalize_to_mass(rt, mask=apply_ice_mask(rt))
+    summary = transport_distance(p, solve(p, q, eps=1e-3, tol=1e-9), q=q)
+    assert summary.target.geometry == g
+    vel = velocity(summary.target, DT)
+    assert vel.geometry == g and vel.dt == DT
+    floe = src.reshape(-1) > 0
+    assert np.isfinite(vel.vx[floe]).all()
+    assert np.median(vel.vx[floe]) * DT / 250.0 == pytest.approx(4.0, abs=1e-3)
+    assert abs(np.median(vel.vy[floe])) * DT / 250.0 <= 1e-3
+    st = strain(vel)
+    exx = np.gradient(vel.vx.reshape(30, 40), 250.0, axis=1, edge_order=2) * DT
+    assert np.array_equal(st.exx, exx.reshape(-1), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +228,8 @@ def test_velocity_refuses_bad_dt(dt):
 
 def test_uniform_velocity_strain_vanishes():
     g = GridGeometry(16, 16, 250.0)
-    vel = VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT)
-    st = strain(vel, g)
+    vel = VelocityField(np.full(g.n, 3.0), np.full(g.n, -2.0), DT, g)
+    st = strain(vel)
     for comp in (st.exx, st.eyy, st.exy, st.principal):
         assert np.abs(comp).max() <= 1e-12
 
@@ -215,8 +240,8 @@ def test_affine_velocity_reproduces_analytic_strain():
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
     # power-of-two rates keep the finite differences exact
     a, b, c, d = 2.0 ** -13, 2.0 ** -11, 2.0 ** -12, -(2.0 ** -14)
-    vel = VelocityField(a * xm + b * ym, c * xm + d * ym, DT)
-    st = strain(vel, g)
+    vel = VelocityField(a * xm + b * ym, c * xm + d * ym, DT, g)
+    st = strain(vel)
     assert np.abs(st.exx - DT * a).max() == 0.0
     assert np.abs(st.eyy - DT * d).max() == 0.0
     assert np.abs(st.exy - 0.5 * DT * (b + c)).max() == 0.0
@@ -227,8 +252,8 @@ def test_rigid_rotation_has_zero_strain():
     xs, ys = g.pixel_centers()
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
     omega = 2.0 ** -12
-    vel = VelocityField(-omega * ym, omega * xm, DT)
-    st = strain(vel, g)
+    vel = VelocityField(-omega * ym, omega * xm, DT, g)
+    st = strain(vel)
     assert np.abs(st.exx).max() == 0.0
     assert np.abs(st.eyy).max() == 0.0
     assert np.abs(st.exy).max() == 0.0
@@ -237,10 +262,10 @@ def test_rigid_rotation_has_zero_strain():
 def test_strain_is_linear_in_velocity():
     g = GridGeometry(12, 12, 250.0)
     rng = np.random.default_rng(15)
-    va = VelocityField(rng.normal(0, 1, g.n), rng.normal(0, 1, g.n), DT)
-    vb = VelocityField(rng.normal(0, 1, g.n), rng.normal(0, 1, g.n), DT)
-    vsum = VelocityField(va.vx + vb.vx, va.vy + vb.vy, DT)
-    sa, sb, ssum = strain(va, g), strain(vb, g), strain(vsum, g)
+    va = VelocityField(rng.normal(0, 1, g.n), rng.normal(0, 1, g.n), DT, g)
+    vb = VelocityField(rng.normal(0, 1, g.n), rng.normal(0, 1, g.n), DT, g)
+    vsum = VelocityField(va.vx + vb.vx, va.vy + vb.vy, DT, g)
+    sa, sb, ssum = strain(va), strain(vb), strain(vsum)
     assert np.allclose(ssum.exx, sa.exx + sb.exx, atol=1e-9)
     assert np.allclose(ssum.exy, sa.exy + sb.exy, atol=1e-9)
 
@@ -249,8 +274,8 @@ def test_strain_nan_propagation():
     g = GridGeometry(8, 8, 250.0)
     vx = np.zeros(g.n)
     vx[27] = np.nan
-    vel = VelocityField(vx, np.zeros(g.n), DT)
-    st = strain(vel, g)
+    vel = VelocityField(vx, np.zeros(g.n), DT, g)
+    st = strain(vel)
     exx = st.exx.reshape(8, 8)
     exy = st.exy.reshape(8, 8)
     # stencils touching the nodata value go nodata; the pixel's own central
@@ -263,13 +288,13 @@ def test_strain_nan_propagation():
 
 def test_strain_validation():
     g = GridGeometry(2, 8, 250.0)
-    vel = VelocityField(np.zeros(g.n), np.zeros(g.n), DT)
+    vel = VelocityField(np.zeros(g.n), np.zeros(g.n), DT, g)
     with pytest.raises(ValueError):
-        strain(vel, g)
+        strain(vel)
     g2 = GridGeometry(8, 8, 250.0)
     for bad_dt in (0.0, -1.0):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            strain(VelocityField(np.zeros(g2.n), np.zeros(g2.n), bad_dt), g2)
+            strain(VelocityField(np.zeros(g2.n), np.zeros(g2.n), bad_dt, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +305,8 @@ def test_principal_pure_shear():
     xs, ys = g.pixel_centers()
     xm, ym = xs * g.norm_scale, ys * g.norm_scale
     omega = 2.0 ** -12
-    vel = VelocityField(omega * ym, omega * xm, DT)
-    st = strain(vel, g)
+    vel = VelocityField(omega * ym, omega * xm, DT, g)
+    st = strain(vel)
     # eigenvalues +/- exy; the tie resolves to the tensile branch
     assert np.allclose(st.principal, st.exy)
     assert st.principal[0] > 0
@@ -336,7 +361,7 @@ def test_principal_strain_reads_the_strain_field():
     g = GridGeometry(16, 12, 250.0)
     rng = np.random.default_rng(21)
     st = strain(VelocityField(rng.normal(0.0, 1e-3, g.n),
-                              rng.normal(0.0, 1e-3, g.n), DT), g)
+                              rng.normal(0.0, 1e-3, g.n), DT, g))
     assert principal_strain(st) is st.principal
     c = 0.5 * np.abs(st.principal).max()
     assert np.array_equal(principal_strain(st, clip=c), np.clip(st.principal, -c, c))

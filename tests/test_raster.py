@@ -167,6 +167,19 @@ def test_sidecar_errors(tmp_path):
         load_raster(path)
 
 
+@pytest.mark.parametrize("key, body", [
+    ("pixel_size_m", '{"pixel_size_m": 1e400, "timestamp_s": 0.0}'),
+    ("timestamp_s", '{"pixel_size_m": 250.0, "timestamp_s": NaN}'),
+], ids=["inf_pixel_size", "nan_timestamp"])
+def test_sidecar_non_finite_value_names_the_sidecar_and_key(tmp_path, key, body):
+    # JSON reads 1e400 as inf and accepts NaN
+    path = tmp_path / "m.pgm"
+    save_raster(make_raster(), path)
+    path.with_suffix(".json").write_text(body)
+    with pytest.raises(MetadataError, match=rf"m\.json: '{key}' must be finite"):
+        load_raster(path)
+
+
 def test_explicit_meta_path(tmp_path):
     r = make_raster(timestamp=9.0)
     path = tmp_path / "img.pgm"
