@@ -3,8 +3,10 @@
 The image is tiled into square windows; each source window is correlated
 against every integer shift of itself in the target within a search radius,
 and the best shift is kept when its correlation peak clears a threshold.
-Windows without intensity variance never match.  Each tile scores all its
-shifts in one ``einsum`` over a sliding-window view of the target, no copy.
+Windows without intensity variance never match.  This is Lewis's fast NCC:
+the target's window sums come from separable sliding sums, O(N * w) for N
+pixels and window w, and each textured tile scores all its shifts with one
+FFT cross-correlation over the (w + 2R)^2 region they cover.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .raster import IntensityRaster
 
 DEFAULT_WINDOW = 50
 DEFAULT_THRESHOLD = 0.25
+_TIE = 1e-12  # correlations this close to a tile's peak tie with it
 
 CSV_HEADER = ("window_center_x,window_center_y,dx_px,dy_px,"
               "dx_m_per_s,dy_m_per_s,correlation")
@@ -43,9 +46,11 @@ def ncc_displacements(src: IntensityRaster, tgt: IntensityRaster,
     """Best integer displacement per window by exhaustive ZNCC search.
 
     ``search_radius`` defaults to window // 2 and ``stride`` to ``window``
-    (non-overlapping tiling).  Matches come back in row-major tile order;
-    ties on the correlation peak keep the first shift in row-major scan
-    order, so results are deterministic.
+    (non-overlapping tiling); the search is clipped at the image edges.
+    Flat source tiles are skipped and flat target windows score 0.  Matches
+    come back in row-major tile order.  Every shift within 1e-12 of the
+    tile's correlation peak ties with it, and ties keep the first shift in
+    row-major (dy, dx) order, so results are deterministic.
     """
     if src.geometry != tgt.geometry:
         raise ValueError("source and target must share one grid geometry")
@@ -65,13 +70,13 @@ def ncc_displacements(src: IntensityRaster, tgt: IntensityRaster,
     if not (0 < threshold <= 1):
         raise ValueError("threshold must lie in (0, 1]")
 
-    # One view holds every target window.  A window whose one-pass variance
+    # Every target window's sums, w neighbours per axis at a time, so each
+    # sum rounds like the window's own.  A window whose one-pass variance
     # is below that formula's rounding floor is flat: it scores 0, which
     # never clears the positive threshold.
     n = window * window
-    wins = sliding_window_view(tgt.values, (window, window))
-    s1 = wins.sum(axis=(2, 3))
-    s2 = np.einsum("ijkl,ijkl->ij", wins, wins)
+    s1 = _window_sums(tgt.values, window)
+    s2 = _window_sums(tgt.values * tgt.values, window)
     vb = s2 - s1 * s1 / n
     rnorm = 1.0 / np.sqrt(np.where(vb > n * np.finfo(float).eps * s2, vb, np.inf))
     half = (window - 1) / 2.0
@@ -82,18 +87,32 @@ def ncc_displacements(src: IntensityRaster, tgt: IntensityRaster,
             if a.min() == a.max():
                 continue
             a0 = a - a.mean()
-            # the in-bounds shifts; sum(a0) = 0, so a0 . b is the centred term
+            # the in-bounds shifts, scored at once by correlating a0 with
+            # the region they cover; sum(a0) = 0, so the region's mean can
+            # go first and rounding follows its variation, not its level
             y0, x0 = max(ty - search_radius, 0), max(tx - search_radius, 0)
-            rows = slice(y0, min(ty + search_radius, g.height - window) + 1)
-            cols = slice(x0, min(tx + search_radius, g.width - window) + 1)
-            corr = np.einsum("ijkl,kl->ij", wins[rows, cols], a0)
-            corr *= rnorm[rows, cols] / np.linalg.norm(a0)
-            # argmax keeps the first peak in row-major (dy, dx) order
-            iy, ix = np.unravel_index(np.argmax(corr), corr.shape)
+            y1 = min(ty + search_radius, g.height - window) + 1
+            x1 = min(tx + search_radius, g.width - window) + 1
+            region = tgt.values[y0:y1 + window - 1, x0:x1 + window - 1]
+            region = region - region.mean()
+            # a circular correlation over the region's own size wraps only
+            # past its last in-bounds shift
+            spec = np.fft.rfft2(region) * np.fft.rfft2(a0, region.shape).conj()
+            corr = np.fft.irfft2(spec, region.shape)[:y1 - y0, :x1 - x0]
+            corr *= rnorm[y0:y1, x0:x1] / np.linalg.norm(a0)
+            # the first peak in row-major (dy, dx) order, so exact ties
+            # survive the FFT's rounding (about 1e-16)
+            iy, ix = np.unravel_index(np.argmax(corr >= corr.max() - _TIE), corr.shape)
             if corr[iy, ix] >= threshold:
                 matches.append(NccMatch(tx + half, ty + half, int(x0 + ix - tx),
                                         int(y0 + iy - ty), float(corr[iy, ix])))
     return matches
+
+
+def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
+    """Sum of every window x window block, as two separable sliding sums."""
+    rows = sliding_window_view(values, window, axis=1).sum(axis=-1)
+    return sliding_window_view(rows, window, axis=0).sum(axis=-1)
 
 
 def matches_to_csv(matches: list[NccMatch], path: str | Path,

@@ -176,8 +176,15 @@ def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
     if not isinstance(meta, dict):
         raise MetadataError(f"{meta_path}: expected a JSON object")
     for key in keys:
-        if not isinstance(meta.get(key), (int, float)):
+        value = meta.get(key)
+        # JSON true and false load as bools, which Python counts as ints
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MetadataError(f"{meta_path}: missing or non-numeric '{key}'")
+        try:
+            float(value)
+        except OverflowError:
+            raise MetadataError(f"{meta_path}: '{key}' must be finite, got an "
+                                "integer too large for a float") from None
     return meta
 
 

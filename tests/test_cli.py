@@ -20,7 +20,7 @@ from otvelo import (
     render_pair,
     save_raster,
 )
-from otvelo import otcore
+from otvelo import cli, otcore
 from otvelo.cli import build_parser, compare_features, main
 from otvelo.ncc import CSV_HEADER
 
@@ -246,6 +246,28 @@ def test_solve_refuses_an_infinite_interval_before_solving(tmp_path, capsys):
                "--out-prefix", str(tmp_path / "o_")])
     assert rc == 1
     assert "not finite (or pass --dt)" in capsys.readouterr().err
+    assert list(tmp_path.glob("o_*")) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "ncc"])
+def test_huge_sidecar_integer_is_a_one_line_error(tmp_path, capsys, command):
+    # math.isfinite raises OverflowError on a JSON integer too large for a
+    # float; the sidecar check must turn it into one named error line
+    g = GridGeometry(16, 16, 250.0)
+    a = np.zeros((16, 16))
+    a[6:10, 4:8] = 255.0
+    save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
+    save_raster(IntensityRaster(g, np.roll(a, 2, axis=1), 86400.0), tmp_path / "b.pgm")
+    (tmp_path / "b.json").write_text(
+        '{"pixel_size_m": 250.0, "timestamp_s": 1' + "0" * 400 + "}")
+    extra = {"solve": ["--out-prefix", str(tmp_path / "o_")],
+             "ncc": ["--window", "8", "--out", str(tmp_path / "o_ncc.csv")]}
+    rc = main([command, str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+               *extra[command]])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {tmp_path / 'b.json'}: 'timestamp_s' must be finite, "
+        "got an integer too large for a float"]
     assert list(tmp_path.glob("o_*")) == []
 
 
@@ -780,6 +802,45 @@ def test_compare_features_scores_ncc_too(solved, translate_pair, tmp_path):
     assert report["ncc"]["used"] == 1
     assert report["ncc"]["median_defined"] is True
     assert report["ncc"]["median_abs_error_m"] >= 0
+
+
+def test_compare_features_leaves_numpy_ma_unimported(solved, translate_pair,
+                                                     tmp_path):
+    # np.median imports numpy.ma on first use, about 10 ms of a fresh
+    # process; the report's medians must still equal np.median's
+    prefix, _ = solved
+    out = str(tmp_path / "ncc.csv")
+    assert main(["ncc", *translate_pair, "--window", "8", "--search-radius", "6",
+                 "--out", out]) == 0
+    vx, _ = read_field(f"{prefix}vx.f32")
+    rows = ["src_x,src_y,tgt_x,tgt_y"]
+    for iy, ix in np.argwhere(np.isfinite(vx))[::7][:4]:
+        rows.append(f"{ix},{iy},{ix + 5},{iy}")
+    feats = tmp_path / "features.csv"
+    feats.write_text("\n".join(rows) + "\n")
+    report_path = tmp_path / "report.json"
+    argv = ["compare-features", "--bundle", prefix, "--features", str(feats),
+            "--ncc-csv", out, "--out", str(report_path)]
+    src_dir = str(Path(otvelo.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys\nfrom otvelo.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    report = json.loads(report_path.read_text())
+    assert report["used"] == 4
+    errors = [entry["abs_error_m"] for entry in report["features"]]
+    assert report["median_abs_error_m"] == float(np.median(errors))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10])
+def test_median_is_numpys(size):
+    values = np.random.default_rng(size).uniform(0.0, 1e4, size)
+    assert cli._median(values) == float(np.median(values))
 
 
 def test_compare_features_header_only_ncc_csv(solved, tmp_path):

@@ -219,3 +219,65 @@ def test_matches_reference_with_overlapping_tiles_and_clipped_edges():
     src, tgt = noisy_pair(base, -1, 2, 41)
     assert_matches_reference(src, tgt, window=9, search_radius=7,
                              threshold=0.01, stride=4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_matches_reference_on_a_non_square_grid_with_overlapping_tiles():
+    # 120 wide, 96 high: a width/height mix-up in the window sums or the
+    # search region cannot pass, and stride < window overlaps the tiles
+    rng = np.random.default_rng(51)
+    base = rng.uniform(0.0, 255.0, (96, 120))
+    src, tgt = noisy_pair(base, 3, -4, 51)
+    assert_matches_reference(src, tgt, window=24, search_radius=5,
+                             threshold=0.01, stride=16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_matches_reference_with_clipped_edges_and_a_prime_search_region():
+    # an interior tile's search region is window + 2R = 23 px a side, a
+    # prime transform length; every edge tile's region is clipped shorter
+    rng = np.random.default_rng(52)
+    base = rng.uniform(0.0, 255.0, (47, 53))
+    src, tgt = noisy_pair(base, -2, 1, 52)
+    assert_matches_reference(src, tgt, window=13, search_radius=5,
+                             threshold=0.01, stride=7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_matches_reference_on_textured_floes_over_a_flat_background():
+    # the region around a floe is bright and mostly flat: its windows'
+    # variation is small against their level, and flat windows at 100.1
+    # do not sum exactly
+    rng = np.random.default_rng(53)
+    yy, xx = np.mgrid[0:64, 0:72]
+    base = np.full((64, 72), 100.1)
+    for cy, cx, r in ((18, 20, 11), (44, 50, 13)):
+        disc = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        base[disc] = rng.uniform(0.0, 255.0, disc.sum())
+    g = GridGeometry(72, 64, 250.0)
+    src = IntensityRaster(g, base, 0.0)
+    tgt = IntensityRaster(g, np.roll(base, (2, -3), (0, 1)), 86400.0)
+    assert_matches_reference(src, tgt, window=12, search_radius=4,
+                             threshold=0.25, stride=6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_ties_keep_the_first_shift_in_row_major_order():
+    # a straight horizontal edge moved 3 px down: every dx with dy = 3 shows
+    # the same window and correlates at 1.0, so the first in-bounds dx wins;
+    # the FFT's rounding spreads these ties by about 1e-16, and without the
+    # tie bound three of the five tiles would keep dx = -1
+    base = np.full((48, 40), 37.0)
+    base[21:] = 200.0
+    moved = np.full((48, 40), 37.0)
+    moved[24:] = 200.0
+    g = GridGeometry(40, 48, 250.0)
+    src, tgt = IntensityRaster(g, base, 0.0), IntensityRaster(g, moved, 86400.0)
+    kwargs = dict(window=8, search_radius=6, threshold=0.25, stride=8)
+    assert_matches_reference(src, tgt, **kwargs)
+    matches = ncc_displacements(src, tgt, **kwargs)
+    assert len(matches) == 5  # the row of tiles across the edge
+    for m in matches:
+        tx = int(m.center_x - 3.5)
+        assert (m.dx, m.dy) == (-min(6, tx), 3)
+        assert m.correlation == pytest.approx(1.0, abs=1e-12)

@@ -180,6 +180,19 @@ def test_sidecar_non_finite_value_names_the_sidecar_and_key(tmp_path, key, body)
         load_raster(path)
 
 
+@pytest.mark.parametrize("body, key", [
+    ('{"pixel_size_m": true, "timestamp_s": 0.0}', "pixel_size_m"),
+    ('{"pixel_size_m": 250.0, "timestamp_s": false}', "timestamp_s"),
+], ids=["true_pixel_size", "false_timestamp"])
+def test_sidecar_refuses_booleans(tmp_path, body, key):
+    # JSON booleans load as Python bools, which are ints: true was a 1 m pixel
+    path = tmp_path / "m.pgm"
+    save_raster(make_raster(), path)
+    path.with_suffix(".json").write_text(body)
+    with pytest.raises(MetadataError, match=rf"m\.json: missing or non-numeric '{key}'"):
+        load_raster(path)
+
+
 def test_explicit_meta_path(tmp_path):
     r = make_raster(timestamp=9.0)
     path = tmp_path / "img.pgm"
