@@ -176,12 +176,11 @@ def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
     if not isinstance(meta, dict):
         raise MetadataError(f"{meta_path}: expected a JSON object")
     for key in keys:
-        value = meta.get(key)
-        # JSON true and false load as bools, which Python counts as ints
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        # exact types: JSON true and false load as bools, a subclass of int
+        if type(meta.get(key)) not in (int, float):
             raise MetadataError(f"{meta_path}: missing or non-numeric '{key}'")
         try:
-            float(value)
+            float(meta[key])
         except OverflowError:
             raise MetadataError(f"{meta_path}: '{key}' must be finite, got an "
                                 "integer too large for a float") from None
