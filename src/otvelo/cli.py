@@ -34,6 +34,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return val
+
+
+def _mask_threshold(text: str) -> float:
+    val = float(text)
+    if not 0 <= val <= 255:  # refuses nan too
+        raise argparse.ArgumentTypeError("must lie in [0, 255]")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otvelo",
@@ -72,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", required=True, choices=synth.SCENARIO_KINDS)
         sp.add_argument("--size", type=_positive_int, default=128)
         sp.add_argument("--shape", choices=("polygon", "disc"), default="polygon")
-        sp.add_argument("--seed", type=int, default=7)
+        sp.add_argument("--seed", type=_seed, default=7)
 
     sp = sub.add_parser("solve", help="run the transport pipeline on an image pair")
     add_timed_pair_args(sp)
@@ -80,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_positive_float, default=otcore.DEFAULT_EPS,
                     help="regularization strength in normalized units^2")
     add_solver_args(sp)
-    sp.add_argument("--mask-threshold", type=float, default=raster.DEFAULT_MASK_THRESHOLD)
+    sp.add_argument("--mask-threshold", type=_mask_threshold,
+                    default=raster.DEFAULT_MASK_THRESHOLD)
     sp.add_argument("--no-mask", action="store_true",
                     help="treat every pixel as ice in derived outputs")
     sp.add_argument("--floor", type=_positive_float, default=raster.DEFAULT_FLOOR)

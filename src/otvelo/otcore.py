@@ -35,13 +35,16 @@ algorithms for entropy regularized transport problems", sec. 4; Merigot
 even, the pooled grid keeps at least 128 px on its shorter side, and the
 kernel's standard deviation sqrt(eps / 2) spans at least 2 pooled pixels, p
 and q are sum-pooled 2x2 onto the grid of twice the pitch and solved first,
-with the same eps and kernel mode; each finer level starts from the coarser
-level's log u and log w, bilinearly interpolated, minus log 4.  Each level
-runs the loop above in full, with its own ``max_iter`` sweeps.  On the 512^2
-block pair at eps = 1e-3 the finest level takes 16 sweeps against 71 cold.
-Smaller grids, odd sides and narrower kernels keep one level.  A coarser
-level's scalings stay at their own size; the finer level refines them into
-its u and w on each (re)start.
+with the same eps and kernel mode.  Each finer level starts from the
+coarser level's mass-relative scalings log(u / p) and log(w / q), bilinearly
+interpolated, plus its own log p and log q: log u = log p - log(xi w) steps
+wherever the ice mass does, and only its second term is smooth enough to
+interpolate.  Each level runs the loop above in full, with its own
+``max_iter`` sweeps.  On the 512^2 block pair at eps = 1e-3 the levels take
+71 / 13 / 12 sweeps against 71 cold (71 / 17 / 16 from interpolated log u
+and log w).  Smaller grids, odd sides and narrower kernels keep one level.
+A coarser level's log(u / p) and log(w / q) stay at their own size; the
+finer level refines them into its u and w on each (re)start.
 
 A level works in five grids: u, w, xi w, xi^T u and the kernel operator's
 scratch grid, which holds the first of its two passes and, between kernel
@@ -130,9 +133,13 @@ _PATIENCE = 50
 # are even, the pooled grid keeps _COARSE_MIN_SIDE px on its shorter side, and
 # the kernel's standard deviation sqrt(eps / 2) spans _COARSE_MIN_SIGMA pooled
 # pixels.  One BLAS thread, 512^2 block pair: at eps = 1e-3 three levels take
-# 71 / 17 / 16 sweeps against 71 cold, 0.5-0.7 against 1.8-1.9 s; at 1e-4
-# (sigma 1.8 pooled px) the warm start lowers the omega estimate from 1.9 to
-# 1.5-1.6 and the fine level takes 221-313 sweeps against 218 cold; on grids
+# 71 / 13 / 12 sweeps against 71 cold, and 71 / 17 / 16 when they started from
+# interpolated log u and log w: 0.33-0.40 against 0.45-0.53 s on a busy box;
+# at 1e-4 (sigma 1.8 pooled px) a 256^2 level first would take 218 + 158
+# sweeps against 218 cold, 3.2-3.3 against 3.2-3.5 s, so that eps keeps one
+# level (ROADMAP item 3).  Synth translate at 512^2 gains nothing: 92 / 43 /
+# 31 sweeps become 92 / 32 / 33, since its fine level's error falls only
+# about 5 % per plain sweep, a slow global mode no start removes.  On grids
 # of 128 px or less a pooled level ran at 0.3-1.0x the speed of a cold solve.
 _COARSE_MIN_SIDE = 128
 _COARSE_MIN_SIGMA = 2.0
@@ -428,24 +435,22 @@ def _pool(field: MassField) -> MassField:
                      field.floor)
 
 
-def _refine(log_v: np.ndarray, shape: tuple[int, int],
+def _refine(c: np.ndarray, shape: tuple[int, int],
             out: np.ndarray | None = None) -> np.ndarray:
-    """A log-scaling of the 2x2-pooled grid bilinearly interpolated onto the
-    fine grid of ``shape = (height, width)``, extrapolated linearly at the
-    border, minus log 4; written into ``out``, a flat array, if given.
+    """A field of the 2x2-pooled grid bilinearly interpolated onto the fine
+    grid of ``shape = (height, width)``, extrapolated linearly at the
+    border; written into ``out``, a flat array, if given.
 
     Fine pixels 2i and 2i + 1 lie at coarse coordinates i - 1/4 and i + 1/4,
     so along each axis they take 3/4 of coarse value i and 1/4 of its
-    neighbour.  That is exact for affine fields, such as the potentials of a
-    translation.  A fine pixel holds about a quarter of its coarse pixel's
-    mass on each side of the plan, hence the log 4.
+    neighbour.  That is exact for affine fields, such as the mass-relative
+    potentials log(u / p) and log(w / q) of a translation.
     """
     height, width = shape
     rows = np.empty((height, width // 2))
-    _refine_axis(log_v.reshape(height // 2, width // 2), rows)
+    _refine_axis(c.reshape(height // 2, width // 2), rows)
     fine = np.empty((height, width)) if out is None else out.reshape(height, width)
     _refine_axis(rows.T, fine.T)
-    fine -= math.log(4.0)
     return fine.reshape(-1)
 
 
@@ -476,8 +481,14 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     spans at least 2 pooled pixels, the solve first solves the 2x2
     sum-pooled p and q on the grid of twice the pitch, with the same eps,
     kernel mode and ``tol``, and recursively so.  Each finer level starts
-    from the coarser level's log u and log w, bilinearly interpolated (see
-    :func:`_refine`), in the arithmetic the coarser level finished in.  On
+    from u = p * exp(refine(log(u_c / p_c))) and w = q * exp(refine(log(w_c
+    / q_c))) for the coarser level's scalings u_c, w_c and masses p_c, q_c,
+    where refine is bilinear interpolation (see :func:`_refine`), in the
+    arithmetic the coarser level finished in: the mass ratios carry the
+    steps of the ice edges, which interpolated log u and log w would smear.
+    On the 512^2 block pair at eps = 1e-3 the finer levels' first sweeps
+    leave an L1 error of 2.3e-4 (1.5e-2 from interpolated log u and log w),
+    and the levels take 71 / 13 / 12 sweeps.  On
     smaller grids, and at eps where the kernel is narrow against a pooled
     pixel, the warm start costs more than it saves, so those solves run one
     level from u = w = 1.  Every level runs the loop below in full: its own
@@ -554,10 +565,15 @@ def _solve(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
     if not _coarsens(p.geometry, kernel.epsilon):
         zero = np.broadcast_to(0.0, (p.geometry.n,))
         return _solve_level(p, q, kernel, tol, max_iter, log_domain, (zero, zero))
-    pooled = _pool(p)
-    g = pooled.geometry
-    coarse = _solve(pooled, _pool(q), kernel, tol, max_iter, log_domain)
-    del pooled   # only its geometry is kept across the finer level
+    pooled_p, pooled_q = _pool(p), _pool(q)
+    g = pooled_p.geometry
+    coarse = _solve(pooled_p, pooled_q, kernel, tol, max_iter, log_domain)
+    # the finer level starts from log(u / p) and log(w / q), formed in the
+    # coarse scalings, which nothing else reads: log u = log p - log(xi w)
+    # steps wherever the mass does, and only log(xi w) is smooth
+    np.subtract(coarse.log_u, np.log(pooled_p.mass), out=coarse.log_u)
+    np.subtract(coarse.log_w, np.log(pooled_q.mass), out=coarse.log_w)
+    del pooled_p, pooled_q   # only their geometry is kept across the finer level
     pair = _solve_level(p, q, kernel, tol, max_iter, coarse.log_domain,
                         (coarse.log_u, coarse.log_w))
     level = (g.width, g.height, coarse.iterations)
@@ -567,10 +583,11 @@ def _solve(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
 def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                  max_iter: int, log_domain: bool,
                  start: tuple[np.ndarray, np.ndarray]) -> ScalingPair:
-    """The Sinkhorn loop of :func:`sinkhorn` on one grid, from the log
-    scalings ``start = (log_u, log_w)``, given on this grid or on its
-    2x2-pooled grid (then refined on each use); restarts return to that
-    start.  s = xi w and t = xi^T u.  Arguments are not validated."""
+    """The Sinkhorn loop of :func:`sinkhorn` on one grid, from
+    ``start``: the log scalings (log_u, log_w) on this grid, or the
+    mass-relative log(u / p) and log(w / q) on its 2x2-pooled grid, refined
+    and put back on this grid's p and q on each use; restarts return to
+    that start.  s = xi w and t = xi^T u.  Arguments are not validated."""
     g = p.geometry
     op = _make_operator(kernel, g)
     u, w = np.empty(g.n), np.empty(g.n)
@@ -582,14 +599,20 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
         return op.apply, np.divide, np.multiply, p.mass, q.mass
 
     def begin(log_domain):
-        """u and w from the start."""
-        for v, log_v in zip((u, w), start):
+        """u and w from the start, in the current arithmetic, whose pv and
+        qv are p and q or their logs."""
+        for v, log_v, mass in zip((u, w), start, (pv, qv)):
             if log_v.size == g.n:
                 np.copyto(v, log_v)
+                if not log_domain:
+                    np.exp(v, out=v)
+                continue
+            _refine(log_v, (g.height, g.width), out=v)
+            if log_domain:
+                v += mass
             else:
-                _refine(log_v, (g.height, g.width), out=v)
-            if not log_domain:
                 np.exp(v, out=v)
+                v *= mass
 
     def scale(v, k, target):
         """v <- v * (target / (v * k))^omega: the update of one side; a

@@ -452,6 +452,30 @@ def test_solve_thin_below_one_is_a_usage_error(translate_pair, tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # refused while parsing, with the flag named, before anything is rendered
+    out = ["--out-prefix", str(tmp_path / "s_")] if command == "synth" else [
+        "--out", str(tmp_path / "sweep.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", "translate", "--size", "16", *out,
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["300", "-1", "nan"])
+def test_mask_threshold_outside_0_255_is_a_usage_error(tmp_path, capsys, value):
+    # refused while parsing, before either image is read: neither exists
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+              "--out-prefix", str(tmp_path / "o_"), "--mask-threshold", value])
+    assert exc.value.code == 2
+    assert "argument --mask-threshold: must lie in [0, 255]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_conv_unconverged_warning_names_kernel_radius(tmp_path, capsys):
     # at eps 1e-5 the conv kernel reaches 1 px, but the mass must move 7 px,
     # so no number of log-domain sweeps converges; the fields still form
