@@ -48,6 +48,27 @@ def _mask_threshold(text: str) -> float:
     return val
 
 
+def _correlation_threshold(text: str) -> float:
+    val = float(text)
+    if not 0 < val <= 1:  # refuses nan too
+        raise argparse.ArgumentTypeError("must lie in (0, 1]")
+    return val
+
+
+def _interval_fraction(text: str) -> float:
+    val = float(text)
+    if not 0 <= val <= 1:  # refuses nan too
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return val
+
+
+def _t_steps(text: str) -> int:
+    val = _positive_int(text)
+    if val < 2:
+        raise argparse.ArgumentTypeError("must be at least 2")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otvelo",
@@ -115,14 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV")
     sp.add_argument("--window", type=_positive_int, default=ncc.DEFAULT_WINDOW)
     sp.add_argument("--search-radius", type=_positive_int)
-    sp.add_argument("--threshold", type=float, default=ncc.DEFAULT_THRESHOLD)
+    sp.add_argument("--threshold", type=_correlation_threshold,
+                    default=ncc.DEFAULT_THRESHOLD)
     sp.add_argument("--stride", type=_positive_int)
     sp.set_defaults(func=cmd_ncc)
 
     sp = sub.add_parser("synth", help="render a synthetic scene pair")
     add_scenario_args(sp)
     sp.add_argument("--out-prefix", required=True)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--t", type=_interval_fraction, default=1.0)
     sp.add_argument("--pixel-size", type=_positive_float, default=250.0)
     sp.set_defaults(func=cmd_synth)
 
@@ -131,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV")
     sp.add_argument("--eps", type=_positive_float, nargs="+",
                     default=[1e-3, 1e-2, 1e-1, 1.0])
-    sp.add_argument("--t-steps", type=_positive_int, default=11)
+    sp.add_argument("--t-steps", type=_t_steps, default=11)
     add_solver_args(sp)
     sp.set_defaults(func=cmd_sweep)
 

@@ -98,52 +98,39 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
                        strict: bool = True) -> TransportSummary:
     """Regularized distance, per-pixel mean transport cost and barycentric map.
 
-    The cost of the mass leaving pixel i, sum_j gamma_ij c_ij, separates into
+    The mean cost of the mass leaving pixel i, sum_j gamma_ij c_ij / p_i,
+    separates into
 
-        |x_i|^2 p_i - 2 x_i . (u * xi(w * x))_i + (u * xi(w * |x|^2))_i
+        (u * xi(w * |x|^2))_i / p_i - 2 x_i . T(x_i) + |x_i|^2
 
-    so the three coupling moments u * xi(w * f), f = x, y, |x|^2, give the
-    cost map, and the first two give the barycentric map as well.  Pixel
-    centers are positive, so these fields have finite logs.  ``q`` is read
-    only for ``w_eps``, which is formed first, so a caller that hands over
-    its last reference to ``q`` has it freed before the moments.  The three
-    moments are formed first, x and y entering as a row and a column of log
-    factors, and the kernel operator is dropped before the maps are derived
-    from them.
+    where T = (u * xi(w * x)) / p is the barycentric map.  So the cost map
+    takes three coupling moments u * xi(w * f), f = x, y, |x|^2: the first
+    two inside :func:`barycentric_map`, which returns ``target``, and the
+    third here.  Pixel centers are positive, so these f have finite logs.
+    The map is NaN outside the valid pixels, and that NaN carries into the
+    cost map.  ``q`` is read only for ``w_eps``, which is formed first, so a
+    caller that hands over its last reference to ``q`` has it freed before
+    the moments.
     """
     _require_converged(pair, "transport cost", strict)
     w_eps = wasserstein_value(p, q, pair, strict=strict)
     del q
+    target = barycentric_map(p, pair, strict=strict)
     g = p.geometry
+    shape = (g.height, g.width)
     x, y = g._axis_centers()
     y = y[:, None]
-    moment = _moments(p, pair)
-    kx = moment(np.log(x))
-    ky = moment(np.log(y))
     sq = x * x + y * y
-    ks = moment(np.log(sq, out=sq))
-    del moment
-    mass = p.mass.reshape(g.height, g.width)
-    valid = _valid_pixels(p)
-    target_x = _target(kx, p, valid)
-    target_y = _target(ky, p, valid)
-    # rows = |x|^2 p - 2 (x kx + y ky) + ks, summed in this order
-    kx *= x
-    ky *= y
-    kx += ky
-    del ky
-    kx *= 2.0
-    rows = x * x + y * y
-    rows *= mass
-    rows -= kx
-    del kx
-    rows += ks
-    del ks
-    np.maximum(rows, 0.0, out=rows)
-    rows /= mass
-    rows = rows.reshape(-1)
-    rows[~valid] = np.nan
-    return TransportSummary(w_eps, rows, BarycentricMap(target_x, target_y, g))
+    cbar = _moments(p, pair)(np.log(sq, out=sq))
+    cbar /= p.mass.reshape(shape)
+    # the moment / p - 2 (x tx + y ty) + |x|^2, summed in this order
+    cross = target.target_x.reshape(shape) * x
+    cross += target.target_y.reshape(shape) * y
+    cross *= 2.0
+    cbar -= cross
+    cbar += np.add(x * x, y * y, out=cross)
+    np.maximum(cbar, 0.0, out=cbar)
+    return TransportSummary(w_eps, cbar.reshape(-1), target)
 
 
 def transport_speed(summary: TransportSummary, dt: float) -> np.ndarray:

@@ -417,7 +417,11 @@ def read_field(path: str | Path, meta_path: str | Path | None = None) -> tuple[n
     meta = _read_sidecar(meta_path, ("width", "height"))
     if meta.get("dtype") != "f32le":
         raise MetadataError(f"{meta_path}: unsupported dtype {meta.get('dtype')!r}")
-    width, height = int(meta["width"]), int(meta["height"])
+    for key in ("width", "height"):
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise MetadataError(f"{meta_path}: '{key}' must be a positive "
+                                f"integer, got {meta[key]!r}")
+    width, height = meta["width"], meta["height"]
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != width * height:
         raise TruncationError(f"{path}: expected {width * height} float32 values, got {raw.size}")

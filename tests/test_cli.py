@@ -476,6 +476,38 @@ def test_mask_threshold_outside_0_255_is_a_usage_error(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["nan", "5", "0"])
+def test_ncc_threshold_outside_0_1_is_a_usage_error(tmp_path, capsys, value):
+    # refused while parsing, before either image is read: neither exists
+    with pytest.raises(SystemExit) as exc:
+        main(["ncc", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+              "--out", str(tmp_path / "n.csv"), "--threshold", value])
+    assert exc.value.code == 2
+    assert "argument --threshold: must lie in (0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "2", "-0.5"])
+def test_synth_t_outside_0_1_is_a_usage_error(tmp_path, capsys, value):
+    # refused while parsing, before the scene is made
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--scenario", "translate", "--size", "16",
+              "--out-prefix", str(tmp_path / "s_"), "--t", value])
+    assert exc.value.code == 2
+    assert "argument --t: must lie in [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_single_t_step_is_a_usage_error(tmp_path, capsys):
+    # one step has no t = 1 end; refused while parsing, before any solve
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", "translate", "--size", "16",
+              "--out", str(tmp_path / "sweep.csv"), "--t-steps", "1"])
+    assert exc.value.code == 2
+    assert "argument --t-steps: must be at least 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_conv_unconverged_warning_names_kernel_radius(tmp_path, capsys):
     # at eps 1e-5 the conv kernel reaches 1 px, but the mass must move 7 px,
     # so no number of log-domain sweeps converges; the fields still form
@@ -589,6 +621,21 @@ def test_synth_cli_writes_loadable_pair(tmp_path):
     assert src.timestamp == 0.0
     assert tgt.timestamp == pytest.approx(0.5 * 86400.0)
     assert not np.array_equal(src.values, tgt.values)
+
+
+def test_synth_cli_seed_picks_the_scene(tmp_path):
+    frames = {}
+    for seed in ("3", "7"):
+        prefix = str(tmp_path / f"s{seed}_")
+        assert main(["synth", "--scenario", "translate", "--size", "32",
+                     "--seed", seed, "--out-prefix", prefix]) == 0
+        frames[seed] = [load_raster(f"{prefix}{name}.pgm").values
+                        for name in ("source", "target")]
+    expected = render_pair(make_scenario("translate", size=32, seed=3), 1.0)
+    for got, want in zip(frames["3"], expected):
+        # the PGM holds the rendered intensities rounded to 8 bits
+        assert np.array_equal(got, np.clip(np.rint(want.values), 0, 255))
+    assert not np.array_equal(frames["3"][0], frames["7"][0])
 
 
 def test_synth_cli_pixel_size_reaches_the_sidecar(tmp_path):

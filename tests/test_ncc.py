@@ -108,6 +108,11 @@ def test_window_validation():
         ncc_displacements(src, tgt, window=16, threshold=0.0)
     with pytest.raises(ValueError):
         ncc_displacements(src, tgt, window=16, search_radius=0)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        ncc_displacements(src, tgt, window=16, stride=0)
+    other, _ = pair_from(base, 0, 0, pixel_size=500.0)
+    with pytest.raises(ValueError, match="share one grid geometry"):
+        ncc_displacements(other, tgt, window=16)
 
 
 def test_csv_output(tmp_path):

@@ -173,6 +173,10 @@ def test_balance_and_scale_errors():
         exact_wasserstein(pb, pb)
     assert ORACLE_MAX_PIXELS == 256
 
+    turned = field(GridGeometry(1, 2, 250.0), [0.5, 0.5])
+    with pytest.raises(ValueError, match="share one grid geometry"):
+        exact_wasserstein(p, turned)
+
 
 def test_unbalanced_marginals_rejected():
     # bypass MassField normalization via a raw call path: scale q after build

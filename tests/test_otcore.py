@@ -788,6 +788,22 @@ def test_transport_cost_rows_conv_matches_dense(mass_field):
                                          rel=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["dense", "conv"])
+def test_transport_cost_map_matches_the_explicit_coupling(mass_field, mode):
+    # per pixel, cbar is the mean cost sum_j gamma_ij c_ij / p_i of the N x N
+    # plan; every pixel of this pair is valid
+    g = GridGeometry(10, 10, 250.0)
+    rng = np.random.default_rng(31)
+    p = mass_field(g, rng.uniform(0.1, 1.0, g.n))
+    q = mass_field(g, rng.uniform(0.1, 1.0, g.n))
+    pair = sinkhorn(p, q, KernelSpec(1e-2, mode), tol=1e-10, max_iter=50000)
+    c = _squared_distances(g)
+    expected = (dense_coupling(pair, c) * c).sum(axis=1) / p.mass
+    cbar = transport_distance(p, pair, q).cbar
+    assert np.all(np.isfinite(cbar))
+    assert np.abs(cbar - expected).max() <= 1e-11 * expected.max()
+
+
 def test_dense_solve_memory_stays_linear_in_pixels():
     # the N x N kernel of this 64^2 pair alone would take 134 MB
     src, tgt = render_pair(make_scenario("translate", size=64), 1.0)

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from otvelo import (
     DegenerateImageError, FormatError, GridGeometry, IntensityRaster,
-    MetadataError, TruncationError,
+    MassField, MetadataError, TruncationError,
     apply_ice_mask, equalize_contrast, load_raster, normalize_to_mass,
     read_field, save_raster, write_field,
 )
@@ -75,6 +76,20 @@ def test_intensity_raster_validation():
         IntensityRaster(g, np.full((3, 3), np.nan), 0.0)
     with pytest.raises(ValueError):
         IntensityRaster(g, np.zeros((2, 3)), 0.0)
+    with pytest.raises(ValueError, match="timestamp must be finite"):
+        IntensityRaster(g, np.zeros((3, 3)), math.nan)
+
+
+@pytest.mark.parametrize("mass, mask, floor, message", [
+    (np.full(8, 1 / 8), np.ones(9, bool), 1e-10, "mass/mask length"),
+    (np.full(9, 1 / 9), np.ones(8, bool), 1e-10, "mass/mask length"),
+    (np.full(9, 1 / 9), np.ones(9, bool), 0.0, "floor must be positive"),
+    (np.r_[0.0, np.full(8, 1 / 8)], np.ones(9, bool), 1e-10, "strictly positive"),
+    (np.full(9, 0.1), np.ones(9, bool), 1e-10, "sum to 1"),
+], ids=["short_mass", "short_mask", "zero_floor", "zero_mass", "sum_0.9"])
+def test_mass_field_validation(mass, mask, floor, message):
+    with pytest.raises(ValueError, match=message):
+        MassField(GridGeometry(3, 3, 250.0), mass, mask, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +427,23 @@ def test_field_read_errors(tmp_path):
     doc["dtype"] = "f64le"
     meta.write_text(json.dumps(doc))
     with pytest.raises(MetadataError):
+        read_field(path)
+
+
+@pytest.mark.parametrize("width, height, key, bad", [
+    (2.7, 3.2, "width", "2.7"),
+    (-2, -3, "width", "-2"),
+    (0, 5, "width", "0"),
+    (4, 4.0, "height", "4.0"),
+], ids=["fractional", "negative", "zero_width", "float_height"])
+def test_field_sidecar_refuses_bad_grid_sizes(tmp_path, width, height, key, bad):
+    # 2.7 x 3.2 loaded as a 3 x 2 grid and 0 x 5 as an empty array
+    path = tmp_path / "f.f32"
+    path.write_bytes(np.zeros(6, dtype="<f4").tobytes() if width != 0 else b"")
+    path.with_suffix(".json").write_text(json.dumps(
+        {"width": width, "height": height, "dtype": "f32le", "nodata": -3.4e38}))
+    with pytest.raises(MetadataError,
+                       match=rf"f\.json: '{key}' must be a positive integer, got {bad}"):
         read_field(path)
 
 

@@ -114,6 +114,8 @@ def test_make_scenario_validation():
         make_scenario("translate", size=8)
     with pytest.raises(ValueError):
         make_scenario("translate", size=64, warp=2.0)  # unknown motion key
+    with pytest.raises(ValueError, match="floe shape must be"):
+        render(make_scenario("translate", size=64, shape="square"), 0.0)
 
 
 def test_seed_changes_polygon():
