@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dense keeps every kernel weight, conv drops those "
                              "beyond r px (below 1e-16 of the centre), auto "
                              f"picks dense up to {otcore.DENSE_MAX_PIXELS} px")
-        sp.add_argument("--log-domain", action="store_true",
-                        help="start in log-space iterations; a linear solve "
-                             "that overflows switches to them by itself")
 
     def add_scenario_args(sp):
         sp.add_argument("--scenario", required=True, choices=synth.SCENARIO_KINDS)
@@ -115,6 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_positive_float, default=otcore.DEFAULT_EPS,
                     help="regularization strength in normalized units^2")
     add_solver_args(sp)
+    sp.add_argument("--log-domain", action="store_true",
+                    help="start in log-space iterations; a linear solve "
+                         "that overflows switches to them by itself")
     sp.add_argument("--mask-threshold", type=_mask_threshold,
                     default=raster.DEFAULT_MASK_THRESHOLD)
     sp.add_argument("--no-mask", action="store_true",
@@ -312,8 +312,7 @@ def cmd_sweep(args) -> int:
     scn = synth.make_scenario(args.scenario, size=args.size, shape=args.shape,
                               seed=args.seed)
     rows = synth.sweep(scn, args.eps, t_steps=args.t_steps, tol=args.tol,
-                       max_iter=args.max_iter, mode=args.mode,
-                       log_domain=args.log_domain)
+                       max_iter=args.max_iter, mode=args.mode)
     synth.sweep_to_csv(rows, args.out)
     print(f"{len(rows)} sweep points, {sum(r.iterations for r in rows)} sweeps "
           f"-> {args.out}")
@@ -390,12 +389,22 @@ def compare_features(bundle: str, features_path: str,
                      ncc_csv: str | None = None) -> dict:
     """Median absolute displacement error of the transport (and optionally
     NCC) estimates against manually tracked source/target pixel pairs."""
-    summary = json.loads(Path(f"{bundle}summary.json").read_text())
+    summary_path = Path(f"{bundle}summary.json")
+    summary = raster._read_sidecar(summary_path,
+                                   ("dt_s", "pixel_size_m", "width", "height"))
+    for key in ("dt_s", "pixel_size_m"):
+        if not (summary[key] > 0 and np.isfinite(summary[key])):
+            raise ValueError(f"{summary_path}: '{key}' must be positive and "
+                             f"finite, got {summary[key]}")
+    dt, pixel_size = float(summary["dt_s"]), float(summary["pixel_size_m"])
+    width, height = summary["width"], summary["height"]
     vx, _ = raster.read_field(f"{bundle}vx.f32")
     vy, _ = raster.read_field(f"{bundle}vy.f32")
-    dt = float(summary["dt_s"])
-    pixel_size = float(summary["pixel_size_m"])
-    height, width = vx.shape
+    for name, data in (("vx", vx), ("vy", vy)):
+        if data.shape != (height, width):
+            raise ValueError(f"{bundle}{name}.f32 holds a {data.shape[1]}x"
+                             f"{data.shape[0]} grid, but {summary_path} "
+                             f"gives {width}x{height}")
     feats = _read_features(features_path)
     cols, rows = np.rint(feats[:, 0]), np.rint(feats[:, 1])
     inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)

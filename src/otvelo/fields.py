@@ -112,7 +112,6 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
     caller that hands over its last reference to ``q`` has it freed before
     the moments.
     """
-    _require_converged(pair, "transport cost", strict)
     w_eps = wasserstein_value(p, q, pair, strict=strict)
     del q
     target = barycentric_map(p, pair, strict=strict)

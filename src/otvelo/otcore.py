@@ -41,8 +41,8 @@ interpolated, plus its own log p and log q: log u = log p - log(xi w) steps
 wherever the ice mass does, and only its second term is smooth enough to
 interpolate.  Each level runs the loop above in full, with its own
 ``max_iter`` sweeps.  On the 512^2 block pair at eps = 1e-3 the levels take
-71 / 13 / 12 sweeps against 71 cold (71 / 17 / 16 from interpolated log u
-and log w).  Smaller grids, odd sides and narrower kernels keep one level.
+71 / 13 / 12 sweeps against 71 cold.  Smaller grids, odd sides and narrower
+kernels keep one level.
 A coarser level's log(u / p) and log(w / q) stay at their own size; the
 finer level refines them into its u and w on each (re)start.
 
@@ -133,8 +133,7 @@ _PATIENCE = 50
 # are even, the pooled grid keeps _COARSE_MIN_SIDE px on its shorter side, and
 # the kernel's standard deviation sqrt(eps / 2) spans _COARSE_MIN_SIGMA pooled
 # pixels.  One BLAS thread, 512^2 block pair: at eps = 1e-3 three levels take
-# 71 / 13 / 12 sweeps against 71 cold, and 71 / 17 / 16 when they started from
-# interpolated log u and log w: 0.33-0.40 against 0.45-0.53 s on a busy box;
+# 71 / 13 / 12 sweeps against 71 cold;
 # at 1e-4 (sigma 1.8 pooled px) a 256^2 level first would take 218 + 158
 # sweeps against 218 cold, 3.2-3.3 against 3.2-3.5 s, so that eps keeps one
 # level (ROADMAP item 3).  Synth translate at 512^2 gains nothing: 92 / 43 /
@@ -183,12 +182,13 @@ class ScalingPair:
     ``residual``.  ``residual_history[k]`` is the error after sweep k + 1;
     after a sweep that restarted the solve it is the error of the level's
     start (u = w = 1 on a one-level solve).  ``log_domain`` records the
-    arithmetic the solve finished in, for reporting only.  ``omega`` is the
-    over-relaxation factor the solve finished with: 1.0 if it never relaxed
-    or fell back to plain sweeps.  All of these describe the finest level of the solve;
-    ``coarse_iterations`` holds the (width, height, sweeps) of each coarser
-    level that warm-started it, coarsest first, and is empty for a solve
-    of one level.
+    arithmetic the solve finished in; a finer coarse-to-fine level and the
+    next warm-started point of :func:`otvelo.synth.sweep` start in it.
+    ``omega`` is the over-relaxation factor the solve finished with: 1.0 if
+    it never relaxed or fell back to plain sweeps.  All of these describe
+    the finest level of the solve; ``coarse_iterations`` holds the (width,
+    height, sweeps) of each coarser level that warm-started it, coarsest
+    first, and is empty for a solve of one level.
     """
 
     log_u: np.ndarray
@@ -487,8 +487,7 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     arithmetic the coarser level finished in: the mass ratios carry the
     steps of the ice edges, which interpolated log u and log w would smear.
     On the 512^2 block pair at eps = 1e-3 the finer levels' first sweeps
-    leave an L1 error of 2.3e-4 (1.5e-2 from interpolated log u and log w),
-    and the levels take 71 / 13 / 12 sweeps.  On
+    leave an L1 error of 2.3e-4, and the levels take 71 / 13 / 12 sweeps.  On
     smaller grids, and at eps where the kernel is narrow against a pooled
     pixel, the warm start costs more than it saves, so those solves run one
     level from u = w = 1.  Every level runs the loop below in full: its own

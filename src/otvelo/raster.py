@@ -160,9 +160,9 @@ class MassField:
 # ---------------------------------------------------------------------------
 # PGM + sidecar I/O
 
-def _sidecar_path(path: Path, meta_path: str | Path | None) -> Path:
-    """``meta_path`` if given, else the data path with a ``.json`` suffix."""
-    return Path(meta_path) if meta_path is not None else path.with_suffix(".json")
+def _sidecar_path(path: Path) -> Path:
+    """The sidecar of a data file: its path with a ``.json`` suffix."""
+    return path.with_suffix(".json")
 
 
 def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
@@ -242,7 +242,7 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
     values = np.frombuffer(raw, dtype=np.uint8, offset=pos + 1).astype(np.float64)
     values = values.reshape(height, width)
 
-    meta_path = _sidecar_path(path, meta_path)
+    meta_path = _sidecar_path(path) if meta_path is None else Path(meta_path)
     meta = _read_sidecar(meta_path, ("pixel_size_m", "timestamp_s"))
     if not meta["pixel_size_m"] > 0:
         raise MetadataError(f"{meta_path}: pixel_size_m must be positive")
@@ -253,15 +253,15 @@ def load_raster(path: str | Path, meta_path: str | Path | None = None) -> Intens
     return IntensityRaster(geometry, values, float(meta["timestamp_s"]))
 
 
-def save_raster(raster: IntensityRaster, path: str | Path,
-                meta_path: str | Path | None = None) -> None:
-    """Write an 8-bit binary PGM plus JSON sidecar (inverse of load_raster)."""
+def save_raster(raster: IntensityRaster, path: str | Path) -> None:
+    """Write an 8-bit binary PGM plus its JSON sidecar, the path with a
+    ``.json`` suffix (inverse of load_raster)."""
     path = Path(path)
     g = raster.geometry
     data = np.clip(np.rint(raster.values), 0, 255).astype(np.uint8)
     header = f"P5\n{g.width} {g.height}\n255\n".encode("ascii")
     path.write_bytes(header + data.tobytes())
-    _sidecar_path(path, meta_path).write_text(json.dumps(
+    _sidecar_path(path).write_text(json.dumps(
         {"pixel_size_m": g.pixel_size, "timestamp_s": raster.timestamp}) + "\n")
 
 
@@ -388,8 +388,7 @@ def normalize_to_mass(raster: IntensityRaster, floor: float = DEFAULT_FLOOR,
 # ---------------------------------------------------------------------------
 # float32 raster exchange format
 
-def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry,
-                meta_path: str | Path | None = None) -> None:
+def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry) -> None:
     """Write a derived raster as little-endian float32, row-major, NaN -> NODATA.
 
     A JSON sidecar ``{"width", "height", "dtype": "f32le", "nodata"}`` lands
@@ -402,7 +401,7 @@ def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry,
     data[np.isnan(data)] = NODATA
     with open(path, "wb") as fh:
         data.tofile(fh)
-    _sidecar_path(path, meta_path).write_text(json.dumps({
+    _sidecar_path(path).write_text(json.dumps({
         "width": geometry.width,
         "height": geometry.height,
         "dtype": "f32le",
@@ -410,10 +409,10 @@ def write_field(path: str | Path, values: np.ndarray, geometry: GridGeometry,
     }) + "\n")
 
 
-def read_field(path: str | Path, meta_path: str | Path | None = None) -> tuple[np.ndarray, dict]:
+def read_field(path: str | Path) -> tuple[np.ndarray, dict]:
     """Read a float32 raster written by :func:`write_field`; NODATA -> NaN."""
     path = Path(path)
-    meta_path = _sidecar_path(path, meta_path)
+    meta_path = _sidecar_path(path)
     meta = _read_sidecar(meta_path, ("width", "height"))
     if meta.get("dtype") != "f32le":
         raise MetadataError(f"{meta_path}: unsupported dtype {meta.get('dtype')!r}")

@@ -39,7 +39,10 @@ class FloeSpec:
     radius: float
     shape: str = "polygon"
     seed: int = 7
-    intensity: float = 255.0
+
+    def __post_init__(self):
+        if self.shape not in ("polygon", "disc"):
+            raise ValueError("floe shape must be 'polygon' or 'disc'")
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,6 @@ def _floe_polygon(spec: FloeSpec) -> np.ndarray:
         ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         return np.column_stack([cx + spec.radius * np.cos(ang),
                                 cy + spec.radius * np.sin(ang)])
-    if spec.shape != "polygon":
-        raise ValueError("floe shape must be 'polygon' or 'disc'")
     rng = np.random.default_rng(spec.seed)
     ang = rng.uniform(0.0, 2.0 * math.pi, 16)
     rad = spec.radius * rng.uniform(0.55, 1.0, 16)
@@ -172,7 +173,7 @@ def _split_by_fraction(poly: np.ndarray, axis: int, fraction: float):
     return low, high
 
 
-def _rasterize(polys: list[np.ndarray], size: int, intensity: float) -> np.ndarray:
+def _rasterize(polys: list[np.ndarray], size: int) -> np.ndarray:
     """Point-sample pixel centers against counterclockwise convex polygons."""
     py, px = np.mgrid[0:size, 0:size] + 0.5
     values = np.zeros((size, size))
@@ -185,7 +186,7 @@ def _rasterize(polys: list[np.ndarray], size: int, intensity: float) -> np.ndarr
             ax, ay = poly[i]
             bx, by = poly[(i + 1) % k]
             inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0
-        values[inside] = intensity
+        values[inside] = 255.0
     return values
 
 
@@ -219,8 +220,7 @@ def _fragment_polys(scn: Scenario, t: float) -> list[np.ndarray]:
         polys = []
         for i, f in enumerate(scn.motion["floes"]):
             spec = FloeSpec(tuple(f["center"]), float(f["radius"]),
-                            shape=scn.floe.shape, seed=scn.floe.seed + i,
-                            intensity=scn.floe.intensity)
+                            shape=scn.floe.shape, seed=scn.floe.seed + i)
             d = np.asarray(f["displacement"], dtype=float)
             polys.append(_floe_polygon(spec) + t * d)
         return polys
@@ -243,7 +243,7 @@ def render(scn: Scenario, t: float) -> IntensityRaster:
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     geometry = GridGeometry(scn.size, scn.size, scn.pixel_size)
-    values = _rasterize(_fragment_polys(scn, t), scn.size, scn.floe.intensity)
+    values = _rasterize(_fragment_polys(scn, t), scn.size)
     return IntensityRaster(geometry, values, t * SECONDS_PER_DAY)
 
 
@@ -265,8 +265,7 @@ class SweepPoint:
 
 def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
           t_steps: int = 11, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, mode: str = "auto",
-          log_domain: bool = False) -> list[SweepPoint]:
+          max_iter: int = DEFAULT_MAX_ITER, mode: str = "auto") -> list[SweepPoint]:
     """Distance-vs-motion curves W_eps(t) - W_eps(0) on a shared t grid.
 
     Each t frame is rendered once and serves every eps.  Rows are ordered by
@@ -278,11 +277,12 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
     (log u, log w) of the solves change almost linearly with t.  From the
     third t on, a point whose two predecessors both converged starts its
     solve from their linear extrapolation 2 l[k-1] - l[k-2] (see the
-    ``start`` of :func:`sinkhorn`), in log-domain arithmetic if
-    ``log_domain`` is set or the previous solve finished in it.  On the
-    64^2 translate scene at eps 1e-2, 1e-1 and 1 such a start meets ``tol``
-    after one sweep.  The first two points, and every point after an
-    unconverged one, start cold.
+    ``start`` of :func:`sinkhorn`), in the arithmetic the previous solve
+    finished in.  On the 64^2 translate scene at eps 1e-2, 1e-1 and 1 such a
+    start meets ``tol`` after one sweep.  The first two points, and every
+    point after an unconverged one, start cold and in linear arithmetic; a
+    solve whose linear scalings overflow switches to log arithmetic by
+    itself.
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
@@ -295,11 +295,11 @@ def sweep(scn: Scenario, eps_list: tuple[float, ...] | list[float],
         w0 = None
         before = last = None   # the pairs of the two previous points
         for t, qt in zip(ts, frames):
-            start, log_start = None, log_domain
+            start, log_start = None, False
             if before is not None and before.converged and last.converged:
                 start = (2.0 * last.log_u - before.log_u,
                          2.0 * last.log_w - before.log_w)
-                log_start = log_domain or last.log_domain
+                log_start = last.log_domain
             pair = sinkhorn(frames[0], qt, kernel, tol=tol, max_iter=max_iter,
                             log_domain=log_start, start=start)
             w = wasserstein_value(frames[0], qt, pair, strict=False)

@@ -19,6 +19,7 @@ from otvelo import (
     read_field,
     render_pair,
     save_raster,
+    write_field,
 )
 from otvelo import cli, otcore
 from otvelo.cli import build_parser, compare_features, main
@@ -716,8 +717,10 @@ def test_sweep_stabilization_advice_names_sweep_flags(tmp_path, capsys):
 
 
 def test_sweep_log_domain_rescues_sharp_run(tmp_path, capsys):
+    # the linear solves overflow and switch to log arithmetic by themselves,
+    # so both rows hold a finite distance
     out = tmp_path / "s.csv"
-    rc = main([*SHARP_SWEEP, "--out", str(out), "--log-domain", "--max-iter", "20"])
+    rc = main([*SHARP_SWEEP, "--out", str(out), "--max-iter", "20"])
     assert rc == 2  # the t = 1 solve stops at max_iter; its row is still written
     assert "(eps=1e-05, t=1)" in capsys.readouterr().err
     rows = list(csv.reader(out.open(newline="")))[1:]
@@ -943,6 +946,49 @@ def test_compare_features_rejects_malformed_ncc_csv(solved, tmp_path, capsys,
                "--ncc-csv", str(bad)])
     assert rc == 1
     assert f"{bad}{where}" in capsys.readouterr().err
+
+
+def _summary_edit(**changes):
+    def edit(summary, prefix):
+        for key, value in changes.items():
+            if value is None:
+                del summary[key]
+            else:
+                summary[key] = value
+        return json.dumps(summary)
+    return edit
+
+
+def _small_vy(summary, prefix):
+    write_field(f"{prefix}vy.f32", np.zeros(16 * 16), GridGeometry(16, 16, 250.0))
+    return json.dumps(summary)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda summary, prefix: "[1, 2]", "summary.json: expected a JSON object"),
+    (lambda summary, prefix: "not json", "summary.json: invalid JSON"),
+    (_summary_edit(dt_s=None), "summary.json: missing or non-numeric 'dt_s'"),
+    (_summary_edit(dt_s="x"), "summary.json: missing or non-numeric 'dt_s'"),
+    (_summary_edit(dt_s=True), "summary.json: missing or non-numeric 'dt_s'"),
+    (_summary_edit(dt_s=-5), "summary.json: 'dt_s' must be positive and finite"),
+    (_summary_edit(pixel_size_m=float("nan")),
+     "summary.json: 'pixel_size_m' must be positive and finite"),
+    (_small_vy, "vy.f32 holds a 16x16 grid, but"),
+], ids=["list", "not_json", "no_dt", "string_dt", "bool_dt", "negative_dt",
+        "nan_pixel_size", "small_vy"])
+def test_compare_features_checks_the_bundle(solved, tmp_path, capsys, edit, message):
+    # a copy of a real bundle with one change; each exits 1 naming the file
+    source, _ = solved
+    prefix = str(tmp_path / "run_")
+    for name in ("summary.json", "vx.f32", "vx.json", "vy.f32", "vy.json"):
+        Path(f"{prefix}{name}").write_bytes(Path(f"{source}{name}").read_bytes())
+    summary = json.loads(Path(f"{prefix}summary.json").read_text())
+    Path(f"{prefix}summary.json").write_text(edit(summary, prefix))
+    feats = tmp_path / "features.csv"
+    feats.write_text("src_x,src_y,tgt_x,tgt_y\n8,8,13,8\n")
+    rc = main(["compare-features", "--bundle", prefix, "--features", str(feats)])
+    assert rc == 1
+    assert f"{prefix}{message}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

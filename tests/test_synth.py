@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ def test_rotate_frame_is_rotated_polygon():
     dx, dy = (base - pivot).T
     turned = pivot + np.column_stack([dx * np.cos(a) - dy * np.sin(a),
                                       dx * np.sin(a) + dy * np.cos(a)])
-    expected = synth._rasterize([turned], 64, scn.floe.intensity)
+    expected = synth._rasterize([turned], 64)
     assert np.array_equal(render(scn, 0.5).values, expected)
 
 
@@ -115,7 +117,7 @@ def test_make_scenario_validation():
     with pytest.raises(ValueError):
         make_scenario("translate", size=64, warp=2.0)  # unknown motion key
     with pytest.raises(ValueError, match="floe shape must be"):
-        render(make_scenario("translate", size=64, shape="square"), 0.0)
+        make_scenario("translate", size=64, shape="square")
 
 
 def test_seed_changes_polygon():
@@ -226,6 +228,31 @@ def test_sweep_starts_from_two_converged_neighbours(monkeypatch):
                 assert np.array_equal(start[0], 2.0 * last.log_u - before.log_u)
                 assert np.array_equal(start[1], 2.0 * last.log_w - before.log_w)
     assert [kw["start"] is None for kw, _ in calls[5:]] == [True, True, False, False, False]
+
+
+def test_sweep_warm_points_start_in_their_predecessors_arithmetic(monkeypatch):
+    # a stub solve finishes each point converged or not, in linear or log
+    # arithmetic, as scripted; cold points (the first two, and both after
+    # the unconverged t index 3) start linear whatever came before, and
+    # warm points in the arithmetic their predecessor finished in
+    finished = [(True, False), (True, True), (True, False), (False, True),
+                (True, True), (True, True), (True, False)]
+    calls = []
+
+    def stub(p, q, kernel, **kwargs):
+        converged, log_domain = finished[len(calls)]
+        calls.append(kwargs)
+        return SimpleNamespace(log_u=np.zeros(1), log_w=np.zeros(1),
+                               iterations=1, coarse_iterations=(),
+                               converged=converged, log_domain=log_domain)
+
+    monkeypatch.setattr(synth, "sinkhorn", stub)
+    monkeypatch.setattr(synth, "wasserstein_value", lambda *args, **kwargs: 0.0)
+    sweep(make_scenario("translate", size=16), [1e-2], t_steps=len(finished))
+    assert [kw["start"] is not None for kw in calls] == [
+        False, False, True, True, False, False, True]
+    assert [kw["log_domain"] for kw in calls] == [
+        False, False, True, False, False, False, True]
 
 
 def test_sweep_counts_the_sweeps_of_every_level():
