@@ -15,8 +15,9 @@ over-relaxed:
 starting from u = 1, from the solve of a coarser grid (below), or from
 given log scalings.  omega = 1 is the classic w <- q / (xi^T u),
 u <- p / (xi w); the loop runs six such sweeps, then picks omega from the
-rate at which they reduced the error, and falls back to omega = 1 if the
-relaxed sweeps overflow or stall.  Linear and
+rate at which they reduced the error (or carries a coarser level's omega,
+below), and falls back to omega = 1 if the relaxed sweeps overflow or
+stall.  Linear and
 log-domain iterations share this loop, and a linear solve whose plain sweeps
 overflow restarts in it in log-domain arithmetic.  It stops when the L1
 marginal error ||u * xi w - p||_1 + ||w * xi^T u - q||_1 drops to ``tol``
@@ -31,20 +32,14 @@ which this module uses throughout (it is exact whenever the marginals hold).
 
 Large solves run coarse to fine (Schmitzer 2019, "Stabilized sparse scaling
 algorithms for entropy regularized transport problems", sec. 4; Merigot
-2011, "A multiscale approach to optimal transport").  While both sides are
-even, the pooled grid keeps at least 128 px on its shorter side, and the
-kernel's standard deviation sqrt(eps / 2) spans at least 2 pooled pixels, p
-and q are sum-pooled 2x2 onto the grid of twice the pitch and solved first,
-with the same eps and kernel mode.  Each finer level starts from the
-coarser level's mass-relative scalings log(u / p) and log(w / q), bilinearly
-interpolated, plus its own log p and log q: log u = log p - log(xi w) steps
-wherever the ice mass does, and only its second term is smooth enough to
-interpolate.  Each level runs the loop above in full, with its own
-``max_iter`` sweeps.  On the 512^2 block pair at eps = 1e-3 the levels take
-71 / 13 / 12 sweeps against 71 cold.  Smaller grids, odd sides and narrower
-kernels keep one level.
-A coarser level's log(u / p) and log(w / q) stay at their own size; the
-finer level refines them into its u and w on each (re)start.
+2011, "A multiscale approach to optimal transport"): p and q are sum-pooled
+2x2 and solved first, and each finer level starts from the coarser level's
+mass-relative scalings log(u / p) and log(w / q), bilinearly interpolated,
+and, if that level was itself warm-started, from its omega (see
+:func:`sinkhorn`).  On the 512^2 block pair at eps = 1e-3 the levels take
+71 / 13 / 8 sweeps against 71 cold.  A coarser level's log(u / p) and
+log(w / q) stay at their own size; the finer level refines them into its u
+and w on each (re)start.
 
 A level works in five grids: u, w, xi w, xi^T u and the kernel operator's
 scratch grid, which holds the first of its two passes and, between kernel
@@ -64,13 +59,11 @@ over the block's nonzero column span, so it skips the band's exact zeros
 The weights are nonzero out to an offset r (the truncation radius, or
 where they underflow) and zero beyond it, so every block of a band is a
 slice of one m x (m + 2r) Toeplitz tile, m = min(128, longer side),
-tile[a, b] = weight[b - a - r]: rows [r0, r1) x columns [c0, c1) is
-tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r], and the spans follow from r by
-arithmetic.  Both axes share the tile, and no band is stored whole: at
-2048 px and eps = 1e-3 the tile holds 0.94 MB (3.75 MB in dense mode)
-where the band would take 33.5 MB.  An axis of at most 128 px is the one
-block tile[:n, r:n + r], and a grid of two such axes is applied as the one
-product band_y @ grid @ band_x.  Dense mode keeps every 1-D weight
+tile[a, b] = weight[b - a - r].  Both axes share the tile, and no band is
+stored whole: at 2048 px and eps = 1e-3 the tile holds 0.94 MB (3.75 MB in
+dense mode) where the band would take 33.5 MB.  An axis of at most 128 px
+is the one block tile[:n, r:n + r], and a grid of two such axes is applied
+as the one product band_y @ grid @ band_x.  Dense mode keeps every 1-D weight
 exp(-(k * pitch)^2 / eps), so it equals the N x N kernel to rounding at
 any grid size.  Convolutional mode truncates the weights at the radius
 where they fall to 1e-16 of the center weight.  The truncation also caps
@@ -88,8 +81,6 @@ log-scalings spread so far that a shifted sum underflows or goes denormal,
 that entry is recomputed as an exact log-sum-exp over every offset within
 the kernel's radius (their log weights stay finite where the weights
 underflow), so the result does not depend on how far the scalings spread.
-It reads the grid through clipped rows, with -inf past the edge, a chunk
-of entries at a time, so it takes less than a grid of memory.
 
 The per-pixel moments of the coupling that :mod:`otvelo.fields` needs are
 sums u * xi(w * f); :func:`_scaled_apply` forms them through the same kernel
@@ -103,7 +94,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .raster import GridGeometry, MassField
+from .raster import GridGeometry, MassField, _pool
 
 # sets only the ``auto`` cutoff (dense up to this many pixels); dense mode
 # itself has no pixel limit
@@ -120,24 +111,28 @@ _BLOCK_ROWS = 128
 # above it, the terms that underflowed (each < 1e-307) do not matter
 _UNDERFLOW_SUM = 1e-280
 # over-relaxation: omega is set after _WARMUP plain sweeps from the error
-# ratio over sweeps _RATIO_FROM.._WARMUP.  A ratio above _FLAT means the error
-# did not fall beyond rounding, which gives no rate to extrapolate.  A relaxed
-# solve whose error is still above its value at the switch _PATIENCE sweeps
-# later restarts plainly.
+# ratio per sweep over the last _RATE_SPAN of them.  A plain rate above
+# _FLAT means the error did not fall beyond rounding, which gives no rate to
+# extrapolate.  A relaxed solve whose error is still above its value at the
+# switch _PATIENCE sweeps later restarts plainly.  A carried omega is set
+# after _CARRY_PLAIN plain sweeps and re-estimated _RETUNE_AFTER relaxed
+# sweeps later: on the 512^2 block at eps 1e-3, tol 1e-8, 2 plain sweeps or
+# a re-estimate after 6 or 12 take 24-26 fine sweeps against 23 uncarried.
 _WARMUP = 6
-_RATIO_FROM = 3
+_RATE_SPAN = 3
 _FLAT = 1.0 - 1e-9
 _OMEGA_MAX = 1.9
 _PATIENCE = 50
-# coarse-to-fine: a solve first solves its 2x2-pooled problem while both sides
-# are even, the pooled grid keeps _COARSE_MIN_SIDE px on its shorter side, and
-# the kernel's standard deviation sqrt(eps / 2) spans _COARSE_MIN_SIGMA pooled
-# pixels.  One BLAS thread, 512^2 block pair: at eps = 1e-3 three levels take
-# 71 / 13 / 12 sweeps against 71 cold;
-# at 1e-4 (sigma 1.8 pooled px) a 256^2 level first would take 218 + 158
-# sweeps against 218 cold, 3.2-3.3 against 3.2-3.5 s, so that eps keeps one
-# level (ROADMAP item 3).  Synth translate at 512^2 gains nothing: 92 / 43 /
-# 31 sweeps become 92 / 32 / 33, since its fine level's error falls only
+_CARRY_PLAIN = 1
+_RETUNE_AFTER = 8
+# coarse-to-fine (see sinkhorn): a solve first solves its 2x2-pooled problem
+# while both sides are even, the pooled grid keeps _COARSE_MIN_SIDE px on its
+# shorter side, and sqrt(eps / 2) spans _COARSE_MIN_SIGMA pooled pixels.  One
+# BLAS thread, 512^2 block pair: at eps = 1e-3 three levels take 71 / 13 / 8
+# sweeps against 71 cold; at 1e-4 (sigma 1.8 pooled px) a 256^2 level first
+# would take 218 + 158 sweeps against 218 cold, in about the same time, so
+# that eps keeps one level (ROADMAP item 3).  Synth translate at 512^2 takes
+# 92 / 32 / 29 sweeps against 92 / 43 / 31: its fine level's error falls only
 # about 5 % per plain sweep, a slow global mode no start removes.  On grids
 # of 128 px or less a pooled level ran at 0.3-1.0x the speed of a cold solve.
 _COARSE_MIN_SIDE = 128
@@ -184,11 +179,12 @@ class ScalingPair:
     start (u = w = 1 on a one-level solve).  ``log_domain`` records the
     arithmetic the solve finished in; a finer coarse-to-fine level and the
     next warm-started point of :func:`otvelo.synth.sweep` start in it.
-    ``omega`` is the over-relaxation factor the solve finished with: 1.0 if
-    it never relaxed or fell back to plain sweeps.  All of these describe
-    the finest level of the solve; ``coarse_iterations`` holds the (width,
-    height, sweeps) of each coarser level that warm-started it, coarsest
-    first, and is empty for a solve of one level.
+    ``omega`` is the over-relaxation factor the solve finished with, possibly
+    re-estimated from its relaxed rate: 1.0 if it never relaxed or fell back
+    to plain sweeps.  All of these describe the finest level of the solve;
+    ``coarse_iterations`` holds the (width, height, sweeps) of each coarser
+    level that warm-started it, coarsest first, and is empty for a solve of
+    one level.
     """
 
     log_u: np.ndarray
@@ -377,14 +373,22 @@ def _out_of_range(*vecs: np.ndarray) -> bool:
     return any(not (v.min() > 0.0 and v.max() < np.inf) for v in vecs)
 
 
-def _relaxation_factor(history: list[float]) -> float:
-    """2 / (1 + sqrt(1 - sqrt(eta))) for the error ratio eta per plain sweep,
-    capped at _OMEGA_MAX; 1 when the error did not fall."""
-    eta = (history[_WARMUP - 1] / history[_RATIO_FROM - 1]) ** (
-        1.0 / (_WARMUP - _RATIO_FROM))
-    if not 0.0 < eta < _FLAT:
-        return 1.0
-    return min(2.0 / (1.0 + math.sqrt(1.0 - math.sqrt(eta))), _OMEGA_MAX)
+def _rate(history: list[float]) -> float:
+    """The error ratio per sweep over the last _RATE_SPAN sweeps."""
+    return (history[-1] / history[-1 - _RATE_SPAN]) ** (1.0 / _RATE_SPAN)
+
+
+def _relaxation_factor(ratio: float, omega: float = 1.0) -> float:
+    """2 / (1 + sqrt(1 - mu^2)), capped at _OMEGA_MAX, for the plain rate
+    mu^2 that Young's relation (rho + omega - 1)^2 = omega^2 mu^2 rho gives
+    for the error ratio rho^2 per sweep relaxed by omega (mu^2 = rho, exactly,
+    for plain sweeps); omega where rho <= omega - 1 or mu^2 >= _FLAT."""
+    rho = math.sqrt(ratio)
+    if rho > omega - 1.0:
+        mu2 = rho * ((1.0 + (omega - 1.0) / rho) / omega) ** 2
+        if mu2 < _FLAT:
+            return min(2.0 / (1.0 + math.sqrt(1.0 - mu2)), _OMEGA_MAX)
+    return omega
 
 
 def _relax(v: np.ndarray, new: np.ndarray, omega: float,
@@ -420,19 +424,6 @@ def _coarsens(geometry: GridGeometry, epsilon: float) -> bool:
             and min(geometry.width, geometry.height) // 2 >= _COARSE_MIN_SIDE
             and math.sqrt(epsilon / 2.0)
             >= _COARSE_MIN_SIGMA * 2.0 * geometry.pitch)
-
-
-def _pool(field: MassField) -> MassField:
-    """2x2 sum-pooled mass on the grid of half the sides and twice the pitch,
-    whose pixel centres are the means of their four fine centres."""
-    g = field.geometry
-    coarse = GridGeometry(g.width // 2, g.height // 2, 2.0 * g.pixel_size)
-
-    def pool(v, reduce):
-        return reduce(v.reshape(coarse.height, 2, coarse.width, 2), axis=(1, 3))
-
-    return MassField(coarse, pool(field.mass, np.sum), pool(field.mask, np.any),
-                     field.floor)
 
 
 def _refine(c: np.ndarray, shape: tuple[int, int],
@@ -486,15 +477,13 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     where refine is bilinear interpolation (see :func:`_refine`), in the
     arithmetic the coarser level finished in: the mass ratios carry the
     steps of the ice edges, which interpolated log u and log w would smear.
-    On the 512^2 block pair at eps = 1e-3 the finer levels' first sweeps
-    leave an L1 error of 2.3e-4, and the levels take 71 / 13 / 12 sweeps.  On
-    smaller grids, and at eps where the kernel is narrow against a pooled
+    On smaller grids, and at eps where the kernel is narrow against a pooled
     pixel, the warm start costs more than it saves, so those solves run one
-    level from u = w = 1.  Every level runs the loop below in full: its own
-    six plain sweeps, its own omega and up to ``max_iter`` sweeps of its
-    own.  The returned ``iterations``, ``residual_history``, ``residual``,
-    ``converged`` and ``omega`` are the finest level's; ``coarse_iterations`` lists
-    the (width, height, sweeps) of each coarser level, coarsest first.
+    level from u = w = 1.  Every level runs the loop below, with up to
+    ``max_iter`` sweeps of its own.  The returned ``iterations``,
+    ``residual_history``, ``residual``, ``converged`` and ``omega`` are the
+    finest level's; ``coarse_iterations`` lists the (width, height, sweeps)
+    of each coarser level, coarsest first.
 
     ``start = (log_u, log_w)``, two finite flat arrays of p's size, such as
     the scalings of a nearby problem, replaces the levels: the loop below
@@ -509,7 +498,12 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     "Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
     transport"; Lehmann et al. 2021, "A note on overrelaxation in the
     Sinkhorn algorithm").  Solves that converge within the six sweeps, or
-    whose error did not fall in them, stay plain.
+    whose error did not fall in them, stay plain.  A level whose coarser
+    level was itself warm-started and finished relaxed instead relaxes with
+    that level's omega from its second sweep; after sweep 9 it sets omega
+    once to 2 / (1 + sqrt(1 - mu^2)), mu^2 = (rho + omega - 1)^2 /
+    (omega^2 rho), for the ratio rho^2 per sweep over sweeps 6 to 9 (Young's
+    relation), where 0 < mu^2 < 1 and rho > omega - 1.
 
     Iteration stops once the L1 marginal error
     ``residual = ||u * xi w - p||_1 + ||w * xi^T u - q||_1`` is at most
@@ -526,19 +520,15 @@ def sinkhorn(p: MassField, q: MassField, kernel: KernelSpec,
     A restart records the error of its start in place of the failed sweep's.
 
     The same loop runs on log u, log w with max-shifted log-sum-exp kernel
-    applications, which tolerate arbitrarily sharp mass ratios; away from
-    underflow a log-domain solve takes about 1.3x the time of a linear one
-    at 512^2 and 2.35x at 64^2: the elementwise exp and log do not shrink
-    with the skipped band zeros, and weigh more against the GEMMs on small
-    grids.  A plain linear sweep whose scalings leave (0, inf)
-    restarts the level from its start in log-domain arithmetic, with its own
-    six plain sweeps before omega is set, so a cold level then repeats a
-    ``log_domain=True`` solve sweep for sweep; ``log_domain=True`` only
-    skips the linear attempt.  ``max_iter`` counts every sweep of a level,
-    and a restart costs two extra kernel applications; a solve that
-    ``max_iter`` ends on a restart returns the projected start,
-    u = p / (xi w0) for the level's start w0 (w0 = 1 on one level), with the
-    start's error as ``residual``.
+    applications, which tolerate arbitrarily sharp mass ratios.  A plain
+    linear sweep whose scalings leave (0, inf) restarts the level from its
+    start in log-domain arithmetic, with its own six plain sweeps before
+    omega is set, so a cold level then repeats a ``log_domain=True`` solve
+    sweep for sweep; ``log_domain=True`` only skips the linear attempt.
+    ``max_iter`` counts every sweep of a level, and a restart costs two
+    extra kernel applications; a solve that ``max_iter`` ends on a restart
+    returns the projected start, u = p / (xi w0) for the level's start w0
+    (w0 = 1 on one level), with the start's error as ``residual``.
     """
     if p.geometry != q.geometry:
         raise ValueError("source and target must share one grid geometry")
@@ -573,20 +563,25 @@ def _solve(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
     np.subtract(coarse.log_u, np.log(pooled_p.mass), out=coarse.log_u)
     np.subtract(coarse.log_w, np.log(pooled_q.mass), out=coarse.log_w)
     del pooled_p, pooled_q   # only their geometry is kept across the finer level
+    # only a warm-started level's omega is carried: a cold one's lost
+    # (ROADMAP item 3)
     pair = _solve_level(p, q, kernel, tol, max_iter, coarse.log_domain,
-                        (coarse.log_u, coarse.log_w))
+                        (coarse.log_u, coarse.log_w),
+                        coarse.omega if coarse.coarse_iterations else 1.0)
     level = (g.width, g.height, coarse.iterations)
     return replace(pair, coarse_iterations=coarse.coarse_iterations + (level,))
 
 
 def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                  max_iter: int, log_domain: bool,
-                 start: tuple[np.ndarray, np.ndarray]) -> ScalingPair:
+                 start: tuple[np.ndarray, np.ndarray],
+                 carry: float = 1.0) -> ScalingPair:
     """The Sinkhorn loop of :func:`sinkhorn` on one grid, from
     ``start``: the log scalings (log_u, log_w) on this grid, or the
     mass-relative log(u / p) and log(w / q) on its 2x2-pooled grid, refined
     and put back on this grid's p and q on each use; restarts return to
-    that start.  s = xi w and t = xi^T u.  Arguments are not validated."""
+    that start, and ``carry`` > 1 is a coarser level's omega.  s = xi w and
+    t = xi^T u.  Arguments are not validated."""
     g = p.geometry
     op = _make_operator(kernel, g)
     u, w = np.empty(g.n), np.empty(g.n)
@@ -630,7 +625,8 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
 
     history = []
     omega = 1.0        # above 1 only after the sweep relax_at raised it
-    relax_at = _WARMUP  # the sweep that sets omega; None: plain for good
+    # the sweep that sets omega, or a carried one; None: plain for good
+    relax_at = _CARRY_PLAIN if carry > 1.0 else _WARMUP
     # overflow is detected below, not by numpy warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         apply, divide, marginal, pv, qv = arithmetic(log_domain)
@@ -656,7 +652,7 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
                     relax_at = iterations + _WARMUP
                 else:
                     relax_at = None
-                omega = 1.0
+                omega = carry = 1.0
                 begin(log_domain)
                 apply(u, out=t)
                 apply(w, out=s)
@@ -665,7 +661,9 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
             if err <= tol:
                 break
             if iterations == relax_at:
-                omega = _relaxation_factor(history[-_WARMUP:])
+                omega = carry if carry > 1.0 else _relaxation_factor(_rate(history))
+            elif carry > 1.0 and iterations == relax_at + _RETUNE_AFTER:
+                omega = _relaxation_factor(_rate(history), omega)
         divide(pv, s, out=u)
     if not log_domain:
         np.log(u, out=u)

@@ -12,9 +12,11 @@ from otvelo import (
 )
 from otvelo.oracle import _squared_distances
 from otvelo.otcore import (
-    _PATIENCE, _WARMUP, _SeparableOperator, _coarsens, _make_operator,
-    _out_of_range, _refine, _scaled_apply, _solve_level, resolve_mode,
+    _OMEGA_MAX, _PATIENCE, _WARMUP, _SeparableOperator, _coarsens,
+    _make_operator, _out_of_range, _refine, _relaxation_factor, _scaled_apply,
+    _solve_level, resolve_mode,
 )
+from otvelo.raster import _pool
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +935,24 @@ def test_coarsening_rule_boundaries():
     assert not _coarsens(GridGeometry(511, 512, 1.0), 1e-2)
 
 
+def test_pool_matches_the_4d_reduction(mass_field):
+    # pair sums of strided views add the four pixels of a cell in the
+    # pairwise order np.sum takes over axes (1, 3), so they match it bit for
+    # bit; masses spanning many decades would expose any other order
+    rng = np.random.default_rng(5)
+    g = GridGeometry(512, 256, 250.0)
+    weights = rng.random(g.n) * 10.0 ** rng.uniform(-12.0, 0.0, g.n)
+    p = mass_field(g, weights, mask=rng.random(g.n) < 0.3)
+    pooled = _pool(p)
+    cells = (g.height // 2, 2, g.width // 2, 2)
+    mass = p.mass.reshape(cells).sum(axis=(1, 3))
+    mask = p.mask.reshape(cells).any(axis=(1, 3))
+    assert pooled.geometry == GridGeometry(256, 128, 500.0)
+    assert np.array_equal(pooled.mass, mass.reshape(-1))
+    assert np.array_equal(pooled.mask, mask.reshape(-1))
+    assert pooled.floor == p.floor
+
+
 # fine pixel j of an 8 x 10 grid lies at coarse coordinate j / 2 - 1/4 of
 # its 4 x 5 pooled grid on each axis, the border pixels included
 _COARSE_YX = np.mgrid[0:4, 0:5]
@@ -1082,3 +1102,200 @@ def test_start_replaces_the_coarse_levels():
     assert np.array_equal(pair.residual_history, cold.residual_history)
     assert np.array_equal(pair.log_u, cold.log_u)
     assert np.array_equal(pair.log_w, cold.log_w)
+
+
+# ---------------------------------------------------------------------------
+# a coarser level's omega, carried and re-estimated
+
+def _mass_relative_start(p, q, kernel, log_domain=False):
+    """The cold solve of the 2x2-pooled pair, as the start the finer level
+    takes from it, and its omega."""
+    pooled_p, pooled_q = _pool(p), _pool(q)
+    coarse = _cold(pooled_p, pooled_q, kernel, log_domain=log_domain)
+    start = (coarse.log_u - np.log(pooled_p.mass),
+             coarse.log_w - np.log(pooled_q.mass))
+    return start, coarse.omega
+
+
+def _young_ratio(mu2, omega):
+    """The error ratio per sweep relaxed by omega for the plain rate mu^2:
+    rho^2, rho the larger root of (rho + omega - 1)^2 = omega^2 mu^2 rho."""
+    b = omega * math.sqrt(mu2)
+    root = (b + math.sqrt(b * b - 4.0 * (omega - 1.0))) / 2.0
+    return root ** 4
+
+
+@pytest.mark.parametrize("mu2, omega", [(0.95, 1.3), (0.99, 1.5), (0.8, 1.05)])
+def test_relaxation_factor_inverts_youngs_relation(mu2, omega):
+    ratio = _young_ratio(mu2, omega)
+    assert math.sqrt(ratio) > omega - 1.0
+    assert _relaxation_factor(ratio, omega) == pytest.approx(
+        2.0 / (1.0 + math.sqrt(1.0 - mu2)), rel=1e-12)
+
+
+def test_relaxation_factor_of_plain_sweeps_is_the_warmup_rule():
+    # mu^2 = sqrt(eta) exactly, so the warm-up sets omega to the last bit as
+    # 2 / (1 + sqrt(1 - sqrt(eta))) did
+    for eta in np.random.default_rng(3).uniform(0.0, 1.0, 1000):
+        want = min(2.0 / (1.0 + math.sqrt(1.0 - math.sqrt(eta))), _OMEGA_MAX)
+        assert _relaxation_factor(eta) == want
+
+
+@pytest.mark.parametrize("ratio", [
+    (1.6 - 1.0) ** 2,          # rho = omega - 1: over-relaxed, no rate
+    0.5 * (1.6 - 1.0) ** 2,    # rho below omega - 1
+    0.0,
+    1.0,                       # mu^2 = 1: the error did not fall
+    1.2,                       # mu^2 > 1: the error rose
+    math.nan, math.inf,
+], ids=["rho_at_omega_1", "rho_below", "zero", "flat", "rising", "nan", "inf"])
+def test_relaxation_factor_keeps_omega_without_a_rate(ratio):
+    assert _relaxation_factor(ratio, 1.6) == 1.6
+    if ratio == 0.0 or not ratio < 1.0:
+        assert _relaxation_factor(ratio) == 1.0   # plain sweeps stay plain
+
+
+def test_relaxation_factor_is_capped():
+    # a plain rate of 0.9999 asks for omega 1.98
+    assert _relaxation_factor(_young_ratio(0.9999, 1.5), 1.5) == _OMEGA_MAX
+    for mu2 in np.linspace(0.01, 0.99999, 50):
+        for omega in (1.0, 1.1, 1.5, 1.89):
+            if omega * omega * mu2 >= 4.0 * (omega - 1.0):   # a real rate
+                ratio = _young_ratio(mu2, omega)
+                assert _relaxation_factor(ratio, omega) <= _OMEGA_MAX
+
+
+def test_third_level_carries_the_warm_started_levels_omega(monkeypatch):
+    # the criterion-10 pair: the 256^2 level started from the cold 128^2
+    # level sets omega from six plain sweeps; the 512^2 level relaxes with
+    # it from its second sweep and takes 8 sweeps, against 12 with a warm-up
+    g = GridGeometry(512, 512, 250.0)
+    a, b = np.zeros((512, 512)), np.zeros((512, 512))
+    a[196:316, 196:316] = 255.0
+    b[196:316, 220:340] = 255.0
+    p = normalize_to_mass(IntensityRaster(g, a, 0.0))
+    q = normalize_to_mass(IntensityRaster(g, b, 86400.0))
+    levels = []
+
+    def spy(*args):
+        pair = _solve_level(*args)
+        levels.append((args[7] if len(args) > 7 else 1.0, pair.omega))
+        return pair
+
+    monkeypatch.setattr("otvelo.otcore._solve_level", spy)
+    pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"), tol=1e-6, max_iter=3000)
+    assert pair.converged
+    assert pair.coarse_iterations == ((128, 128, 71), (256, 256, 13))
+    assert pair.iterations == 8
+    (cold, _), (warm, omega), (carried, _) = levels
+    assert cold == warm == 1.0 and carried == omega > 1.0
+    # W_eps of the solve with a warm-up at every level
+    warmup_w = -0.013902177032342797
+    assert wasserstein_value(p, q, pair) == pytest.approx(warmup_w, rel=1e-8)
+
+
+@pytest.mark.parametrize("log_domain", [False, True], ids=["linear", "log"])
+def test_level_after_a_cold_level_keeps_the_warmup(log_domain):
+    # the 256^2 block pair's 128^2 level starts cold, so the 256^2 level sets
+    # omega from its own six plain sweeps, although the coarse level relaxed
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    pair = sinkhorn(p, q, k, log_domain=log_domain)
+    start, omega = _mass_relative_start(p, q, k, log_domain)
+    warmup = _solve_level(p, q, k, 1e-6, 1000, log_domain, start)
+    carried = _solve_level(p, q, k, 1e-6, 1000, log_domain, start, omega)
+    assert omega > 1.0
+    assert np.array_equal(pair.residual_history, warmup.residual_history)
+    assert pair.omega == warmup.omega
+    assert not np.array_equal(carried.residual_history[:_WARMUP],
+                              warmup.residual_history[:_WARMUP])
+
+
+def _first_relaxed_sweep(monkeypatch, solve, plain_solve=None):
+    """The first sweep whose error differs from the same solve without
+    relaxation: ``plain_solve()``, or ``solve()`` with omega capped at 1."""
+    relaxed = solve()
+    with monkeypatch.context() as m:
+        m.setattr("otvelo.otcore._OMEGA_MAX", 1.0)
+        plain = (plain_solve or solve)()
+    n = min(len(relaxed.residual_history), len(plain.residual_history))
+    same = relaxed.residual_history[:n] == plain.residual_history[:n]
+    return None if same.all() else int(np.argmin(same)) + 1
+
+
+def test_one_level_and_started_solves_keep_the_warmup(monkeypatch):
+    # neither a one-level solve nor a given start carries an omega: each
+    # relaxes only after its six plain sweeps, and none re-estimates omega
+    def warmup_only(ratio, omega=1.0):
+        assert omega == 1.0, "omega re-estimated outside a carried level"
+        return _relaxation_factor(ratio)
+
+    monkeypatch.setattr("otvelo.otcore._relaxation_factor", warmup_only)
+    src, tgt = render_pair(make_scenario("translate", size=64), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    k = KernelSpec(1e-3, "conv")
+    near = normalize_to_mass(render_pair(make_scenario("translate", size=64), 0.9)[1])
+    guess = sinkhorn(p, near, k)
+    for solve in (lambda: sinkhorn(p, q, k),
+                  lambda: sinkhorn(p, q, k, start=(guess.log_u, guess.log_w))):
+        assert _first_relaxed_sweep(monkeypatch, solve) == _WARMUP + 1
+
+
+def test_carried_omega_relaxes_after_one_plain_sweep(monkeypatch):
+    # a carried level's first sweep is plain and its second relaxed; after
+    # 8 relaxed sweeps omega is re-estimated once, from the error ratio per
+    # sweep over sweeps 6 to 9
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    start, omega = _mass_relative_start(p, q, k)
+    seen = []
+
+    def record(ratio, om=1.0):
+        seen.append((ratio, om))
+        return om
+
+    monkeypatch.setattr("otvelo.otcore._relaxation_factor", record)
+    carried = _solve_level(p, q, k, 1e-12, 12, False, start, omega)
+    h = carried.residual_history
+    assert carried.iterations == 12
+    assert seen == [((h[8] / h[5]) ** (1.0 / 3.0), omega)]
+    assert carried.omega == omega
+    assert _first_relaxed_sweep(
+        monkeypatch, lambda: _solve_level(p, q, k, 1e-12, 12, False, start, omega),
+        lambda: _solve_level(p, q, k, 1e-12, 12, False, start)) == 2
+
+
+def test_carried_level_restarts_by_the_warmup_rule(monkeypatch):
+    p, q = _block_pair(256, 256, 12)
+    k = KernelSpec(1e-3, "conv")
+    start, omega = _mass_relative_start(p, q, k)
+    with monkeypatch.context() as m:
+        m.setattr("otvelo.otcore._OMEGA_MAX", 1.0)
+        plain = _solve_level(p, q, k, 1e-6, 1000, False, start)
+    log = _solve_level(p, q, k, 1e-6, 1000, True, start)
+    calls = []
+
+    def overflow_at(sweep):
+        def out_of_range(*vecs):
+            calls.append(1)
+            return len(calls) == sweep
+        return out_of_range
+
+    # a relaxed sweep that overflows restarts the level with plain sweeps for
+    # good; it then repeats the plain solve sweep for sweep
+    monkeypatch.setattr("otvelo.otcore._out_of_range", overflow_at(3))
+    pair = _solve_level(p, q, k, 1e-6, 1000, False, start, omega)
+    assert pair.converged and pair.omega == 1.0 and not pair.log_domain
+    assert pair.iterations == plain.iterations + 3
+    assert np.array_equal(pair.residual_history[3:], plain.residual_history)
+    assert np.array_equal(pair.log_u, plain.log_u)
+    # the plain first sweep that overflows restarts in log arithmetic with
+    # a warm-up of its own: the log-domain solve, sweep for sweep
+    calls.clear()
+    monkeypatch.setattr("otvelo.otcore._out_of_range", overflow_at(1))
+    pair = _solve_level(p, q, k, 1e-6, 1000, False, start, omega)
+    assert pair.converged and pair.log_domain
+    assert pair.omega == log.omega > 1.0
+    assert pair.iterations == log.iterations + 1
+    assert np.array_equal(pair.residual_history[1:], log.residual_history)
+    assert np.array_equal(pair.log_u, log.log_u)
