@@ -35,8 +35,8 @@ def run():
     print(f"solve: {pair.iterations} iterations, residual {pair.residual:.1e}, "
           f"converged={pair.converged}")
 
-    # one pass of the coupling moments gives the distance, the cost map and
-    # the barycentric map
+    # the x, y and |x|^2 coupling moments, through one kernel operator, give
+    # the cost map and the barycentric map; W_eps comes from the scalings
     summary = transport_distance(p, pair, q=q)
     vel = velocity(summary.target, DT)
     st = strain(vel)

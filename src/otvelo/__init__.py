@@ -12,14 +12,14 @@ from .raster import (
     normalize_to_mass, write_field, read_field, NODATA,
 )
 from .otcore import (
-    KernelSpec, ScalingPair, NotConvergedError,
-    required_truncation_radius, kernel_apply, sinkhorn,
-    wasserstein_value, DENSE_MAX_PIXELS,
+    KernelSpec, ScalingPair,
+    required_truncation_radius, kernel_apply, sinkhorn, DENSE_MAX_PIXELS,
 )
 from .oracle import (
     ExactPlan, BalanceError, ScaleError, exact_wasserstein, ORACLE_MAX_PIXELS,
 )
 from .fields import (
+    NotConvergedError, wasserstein_value,
     TransportSummary, BarycentricMap, VelocityField, StrainField,
     transport_distance, transport_speed, barycentric_map, velocity,
     strain, principal_strain,

@@ -1,6 +1,11 @@
 """Derived per-pixel fields: transport distance, barycentric displacement,
 velocity, and incremental strain over the velocity field's interval.
 
+This module reads each solved :class:`otvelo.otcore.ScalingPair`: W_eps =
+eps * (<p, log u> + <q, log w>) and the coupling moments u * xi(w * f), formed
+through the solve's kernel operator from the log scalings, so they stay
+finite however far u and w spread, whichever arithmetic the solve ended in.
+
 All fields are flat row-major float64 arrays aligned with the mass-field
 grid; pixels excluded by the ice mask or the low-mass cutoff carry NaN (the
 on-disk NODATA sentinel is applied at write time by :mod:`otvelo.raster`).
@@ -12,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .otcore import (ScalingPair, _make_operator, _require_converged,
-                     _scaled_apply, wasserstein_value)
+from .otcore import ScalingPair, _make_operator
 from .raster import GridGeometry, MassField
 
 # Pixels whose mass is below this multiple of the per-pixel floor contribution
 # carry no image signal; their conditional averages are meaningless.
 LOW_MASS_FACTOR = 10.0
+
+
+class NotConvergedError(RuntimeError):
+    """A downstream quantity was requested from a non-converged scaling pair."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,33 +73,57 @@ class StrainField:
     principal: np.ndarray
 
 
-def _valid_pixels(p: MassField) -> np.ndarray:
-    return p.mask & (p.mass >= LOW_MASS_FACTOR * p.floor_mass)
+def _check_pair(pair: ScalingPair, what: str, strict: bool,
+                *masses: MassField) -> None:
+    """Refuse ``masses`` on a grid other than the pair's, and a pair that
+    did not converge when ``strict``."""
+    for m in masses:
+        if m.geometry != pair.geometry:
+            raise ValueError(f"{what}: mass field on {m.geometry}, pair solved on "
+                             f"{pair.geometry}; pass the fields it was solved from")
+    if strict and not pair.converged:
+        raise NotConvergedError(
+            f"{what} requested from a scaling pair that did not converge "
+            f"(residual {pair.residual:.3e} after {pair.iterations} iterations)")
 
 
-def _moments(p: MassField, pair: ScalingPair):
+def wasserstein_value(p: MassField, q: MassField, pair: ScalingPair,
+                      strict: bool = True) -> float:
+    """Regularized transport distance eps * (<p, log u> + <q, log w>), equal
+    to sum(c gamma) - eps H(gamma) at the scaled coupling once both
+    marginals hold."""
+    _check_pair(pair, "transport value", strict, p, q)
+    return float(pair.kernel.epsilon * (p.mass @ pair.log_u + q.mass @ pair.log_w))
+
+
+def _moments(pair: ScalingPair):
     """The coupling moment u * xi(w * f) of ``pair`` as a function of log f,
-    through one kernel operator.  log f broadcasts against the (height,
-    width) grid: a row or a column of log factors gives a new grid, and a
-    full grid is overwritten with its moment."""
-    g = p.geometry
+    exp(log u + logsumexp(log w + log f)) through one kernel operator.  log f
+    broadcasts against the (height, width) grid: a row or a column gives a
+    new grid, and a full grid is overwritten with its moment."""
+    g = pair.geometry
     op = _make_operator(pair.kernel, g)
     log_w = pair.log_w.reshape(g.height, g.width)
 
     def moment(log_f: np.ndarray) -> np.ndarray:
         out = log_f if log_f.shape == log_w.shape else None
-        log_wf = np.add(log_w, log_f, out=out).reshape(-1)
-        return _scaled_apply(op, pair.log_u, log_wf).reshape(log_w.shape)
+        m = np.add(log_w, log_f, out=out).reshape(-1)
+        op.log_apply(m, out=m)
+        m += pair.log_u
+        return np.exp(m, out=m).reshape(log_w.shape)
 
     return moment
 
 
-def _target(moment: np.ndarray, p: MassField, valid: np.ndarray) -> np.ndarray:
-    """A barycentric coordinate moment / p as a flat array, NaN outside the
-    flat mask ``valid``."""
-    out = moment.reshape(-1) / p.mass
-    out[~valid] = np.nan
-    return out
+def _barycentric(p: MassField, moment) -> BarycentricMap:
+    """The map x_q = moment(x) / p of ``moment`` (see :func:`_moments`),
+    NaN outside the ice mask and on low-mass pixels."""
+    invalid = ~(p.mask & (p.mass >= LOW_MASS_FACTOR * p.floor_mass))
+    x, y = p.geometry._axis_centers()
+    tx, ty = (moment(log_f).reshape(-1) / p.mass
+              for log_f in (np.log(x), np.log(y)[:, None]))
+    tx[invalid] = ty[invalid] = np.nan
+    return BarycentricMap(tx, ty, p.geometry)
 
 
 def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
@@ -104,23 +136,25 @@ def transport_distance(p: MassField, pair: ScalingPair, q: MassField,
         (u * xi(w * |x|^2))_i / p_i - 2 x_i . T(x_i) + |x_i|^2
 
     where T = (u * xi(w * x)) / p is the barycentric map.  So the cost map
-    takes three coupling moments u * xi(w * f), f = x, y, |x|^2: the first
-    two inside :func:`barycentric_map`, which returns ``target``, and the
-    third here.  Pixel centers are positive, so these f have finite logs.
-    The map is NaN outside the valid pixels, and that NaN carries into the
-    cost map.  ``q`` is read only for ``w_eps``, which is formed first, so a
-    caller that hands over its last reference to ``q`` has it freed before
-    the moments.
+    takes three coupling moments u * xi(w * f), f = x, y, |x|^2, all through
+    one kernel operator: the first two form ``target``, the map
+    :func:`barycentric_map` returns, and the third the cost map.  Pixel
+    centers are positive, so these f have finite logs.  The map is NaN
+    outside the valid pixels, and that NaN carries into the cost map.  ``q``
+    is read only for ``w_eps``, which is formed first, so a caller that
+    hands over its last reference to ``q`` has it freed before the moments.
     """
     w_eps = wasserstein_value(p, q, pair, strict=strict)
     del q
-    target = barycentric_map(p, pair, strict=strict)
+    moment = _moments(pair)
+    target = _barycentric(p, moment)
     g = p.geometry
     shape = (g.height, g.width)
     x, y = g._axis_centers()
     y = y[:, None]
     sq = x * x + y * y
-    cbar = _moments(p, pair)(np.log(sq, out=sq))
+    cbar = moment(np.log(sq, out=sq))
+    del moment   # frees the operator's scratch grid before the cost map's
     cbar /= p.mass.reshape(shape)
     # the moment / p - 2 (x tx + y ty) + |x|^2, summed in this order
     cross = target.target_x.reshape(shape) * x
@@ -149,13 +183,8 @@ def barycentric_map(p: MassField, pair: ScalingPair,
     target centroid (checked in the test suite on every converged solve that
     feeds this function).
     """
-    _require_converged(pair, "barycentric map", strict)
-    x, y = p.geometry._axis_centers()
-    valid = _valid_pixels(p)
-    moment = _moments(p, pair)
-    return BarycentricMap(_target(moment(np.log(x)), p, valid),
-                          _target(moment(np.log(y)[:, None]), p, valid),
-                          p.geometry)
+    _check_pair(pair, "barycentric map", strict, p)
+    return _barycentric(p, _moments(pair))
 
 
 def velocity(bmap: BarycentricMap, dt: float) -> VelocityField:

@@ -28,7 +28,8 @@ the value has the dual expression
 
     W_eps = eps * (<p, log u> + <q, log w>)
 
-which this module uses throughout (it is exact whenever the marginals hold).
+which :mod:`otvelo.fields` evaluates, with the coupling's moments (it is
+exact whenever the marginals hold); this module only solves.
 
 Large solves run coarse to fine (Schmitzer 2019, "Stabilized sparse scaling
 algorithms for entropy regularized transport problems", sec. 4; Merigot
@@ -62,8 +63,10 @@ slice of one m x (m + 2r) Toeplitz tile, m = min(128, longer side),
 tile[a, b] = weight[b - a - r].  Both axes share the tile, and no band is
 stored whole: at 2048 px and eps = 1e-3 the tile holds 0.94 MB (3.75 MB in
 dense mode) where the band would take 33.5 MB.  An axis of at most 128 px
-is the one block tile[:n, r:n + r], and a grid of two such axes is applied
-as the one product band_y @ grid @ band_x.  Dense mode keeps every 1-D weight
+is the one block tile[:n, r:n + r], the corner of a longer such axis's; a
+grid of two such axes keeps only the longer one's block (at 64^2, eps =
+1e-2, dense: 32 KB against the tile's 97 KB) and is applied as the one
+product band_y @ grid @ band_x.  Dense mode keeps every 1-D weight
 exp(-(k * pitch)^2 / eps), so it equals the N x N kernel to rounding at
 any grid size.  Convolutional mode truncates the weights at the radius
 where they fall to 1e-16 of the center weight.  The truncation also caps
@@ -81,11 +84,6 @@ log-scalings spread so far that a shifted sum underflows or goes denormal,
 that entry is recomputed as an exact log-sum-exp over every offset within
 the kernel's radius (their log weights stay finite where the weights
 underflow), so the result does not depend on how far the scalings spread.
-
-The per-pixel moments of the coupling that :mod:`otvelo.fields` needs are
-sums u * xi(w * f); :func:`_scaled_apply` forms them through the same kernel
-operator as the solve, always from the log scalings, so they stay finite
-however far u and w spread, whichever arithmetic the solve finished in.
 """
 from __future__ import annotations
 
@@ -139,10 +137,6 @@ _COARSE_MIN_SIDE = 128
 _COARSE_MIN_SIGMA = 2.0
 
 
-class NotConvergedError(RuntimeError):
-    """A downstream quantity was requested from a non-converged scaling pair."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Regularization strength and kernel application strategy.
@@ -184,7 +178,7 @@ class ScalingPair:
     to plain sweeps.  All of these describe the finest level of the solve;
     ``coarse_iterations`` holds the (width, height, sweeps) of each coarser
     level that warm-started it, coarsest first, and is empty for a solve of
-    one level.
+    one level.  ``geometry`` is the grid of p and q, the finest level's.
     """
 
     log_u: np.ndarray
@@ -196,6 +190,7 @@ class ScalingPair:
     residual_history: np.ndarray
     log_domain: bool
     omega: float
+    geometry: GridGeometry
     coarse_iterations: tuple[tuple[int, int, int], ...] = ()
 
 
@@ -208,7 +203,7 @@ def required_truncation_radius(epsilon: float, geometry: GridGeometry) -> int:
 class _SeparableOperator:
     """xi as two banded 1-D Gaussian passes of the given radius in px; memory
     stays O(N): per axis the nonzero row blocks of its band, all slices of
-    one Toeplitz tile shared by both axes, plus one scratch grid."""
+    one Toeplitz tile or block shared by both axes, plus one scratch grid."""
 
     def __init__(self, spec: KernelSpec, geometry: GridGeometry, radius: int):
         self.radius = radius
@@ -227,8 +222,12 @@ class _SeparableOperator:
         rows = min(_BLOCK_ROWS, longest)
         line = np.zeros(2 * (rows + r) - 1)
         line[rows - 1:rows + 2 * r] = np.concatenate((weights[r:0:-1], weights[:r + 1]))
-        self._tile = np.lib.stride_tricks.sliding_window_view(
-            line, rows + 2 * r)[::-1].copy()
+        tile = np.lib.stride_tricks.sliding_window_view(line, rows + 2 * r)[::-1]
+        # with no axis over _BLOCK_ROWS px, each axis is the one block
+        # tile[:n, r:n + r], the corner of the longer axis's, so only that
+        # block is kept, padded by _pad = 0 columns each side in place of r
+        self._pad = 0 if longest <= _BLOCK_ROWS else r
+        self._tile = tile[:, r - self._pad:rows + r + self._pad].copy()
         self.band_x = self._band(geometry.width)
         self.band_y = (self.band_x if geometry.height == geometry.width
                        else self._band(geometry.height))
@@ -240,13 +239,13 @@ class _SeparableOperator:
         """The symmetric Toeplitz band[i, j] = weight[i - j] of one n-pixel
         axis: the (rows, cols, block) of each block of it, cols the span
         outside which it is exactly 0.0, block a view of the tile."""
-        r = self.reach
+        r, pad = self.reach, self._pad
         band = []
         for r0 in range(0, n, _BLOCK_ROWS):
             r1 = min(r0 + _BLOCK_ROWS, n)
             c0, c1 = max(0, r0 - r), min(n, r1 + r)
             band.append((slice(r0, r1), slice(c0, c1),
-                         self._tile[:r1 - r0, c0 - r0 + r:c1 - r0 + r]))
+                         self._tile[:r1 - r0, c0 - r0 + pad:c1 - r0 + pad]))
         return band
 
     @staticmethod
@@ -670,34 +669,4 @@ def _solve_level(p: MassField, q: MassField, kernel: KernelSpec, tol: float,
         np.log(w, out=w)
     residual = history[-1]
     return ScalingPair(u, w, iterations, residual, residual <= tol, kernel,
-                       np.asarray(history), log_domain, omega)
-
-
-def _scaled_apply(op: _SeparableOperator, log_a: np.ndarray,
-                  log_bf: np.ndarray) -> np.ndarray:
-    """a * xi(b * f) from log_bf = log(b * f), a flat array, as
-    exp(log a + logsumexp(log b + log f)), which stays finite however far a
-    and b spread; formed in ``log_bf``, which it overwrites."""
-    m = op.log_apply(log_bf, out=log_bf)
-    m += log_a
-    return np.exp(m, out=m)
-
-
-def _require_converged(pair: ScalingPair, what: str, strict: bool) -> None:
-    if strict and not pair.converged:
-        raise NotConvergedError(
-            f"{what} requested from a scaling pair that did not converge "
-            f"(residual {pair.residual:.3e} after {pair.iterations} iterations)"
-        )
-
-
-def wasserstein_value(p: MassField, q: MassField, pair: ScalingPair,
-                      strict: bool = True) -> float:
-    """Regularized transport distance eps * (<p, log u> + <q, log w>).
-
-    Algebraically identical to sum(c gamma) - eps H(gamma) at the scaled
-    coupling once both marginals hold.
-    """
-    _require_converged(pair, "transport value", strict)
-    eps = pair.kernel.epsilon
-    return float(eps * (p.mass @ pair.log_u + q.mass @ pair.log_w))
+                       np.asarray(history), log_domain, omega, g)

@@ -19,8 +19,9 @@ from typing import Any
 
 import numpy as np
 
+from .fields import wasserstein_value
 from .otcore import (DEFAULT_MAX_ITER, DEFAULT_TOL, KernelSpec, resolve_mode,
-                     sinkhorn, wasserstein_value)
+                     sinkhorn)
 from .raster import GridGeometry, IntensityRaster, normalize_to_mass
 
 SCENARIO_KINDS = ("translate", "split_equal", "split_unequal", "split_quad",

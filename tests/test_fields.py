@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from otvelo import (
     NotConvergedError, TransportSummary, VelocityField, apply_ice_mask,
     barycentric_map, make_scenario, normalize_to_mass, principal_strain,
     render_pair, sinkhorn, strain, transport_distance, transport_speed,
-    velocity,
+    velocity, wasserstein_value,
 )
+from otvelo import fields
 from otvelo.fields import _principal
 
 DT = 86400.0
@@ -113,6 +116,62 @@ def test_strict_flag_on_unconverged_pair(mass_field):
         barycentric_map(p, pair)
     summary = transport_distance(p, pair, q=q, strict=False)
     assert np.isfinite(summary.w_eps)
+
+
+def test_transport_distance_forms_its_moments_through_one_operator(monkeypatch):
+    # the x, y and |x|^2 moments share one kernel operator, and the map it
+    # returns is the one barycentric_map forms, bit for bit, NaNs included
+    g = GridGeometry(12, 10, 250.0)
+    vals = np.random.default_rng(5).uniform(0.1, 1.0, g.n)
+    vals[:12] = 0.0   # a dark first row: low-mass NaNs
+    weights = vals + 1e-6 * vals.sum()
+    p = MassField(g, weights / weights.sum(), vals > 0, 1e-6)
+    q = MassField(g, np.roll(p.mass, 1), np.roll(p.mask, 1), 1e-6)
+    pair = solve(p, q)
+    built = []
+    make = fields._make_operator
+    monkeypatch.setattr(fields, "_make_operator",
+                        lambda *args: built.append(args) or make(*args))
+    summary = transport_distance(p, pair, q=q)
+    assert len(built) == 1
+    bmap = barycentric_map(p, pair)
+    assert np.isnan(bmap.target_x).any() and np.isnan(bmap.target_y).any()
+    assert np.array_equal(summary.target.target_x, bmap.target_x, equal_nan=True)
+    assert np.array_equal(summary.target.target_y, bmap.target_y, equal_nan=True)
+
+
+@pytest.mark.parametrize("width, height", [(32, 64), (16, 16)])
+@pytest.mark.parametrize("which", ["p", "q"])
+def test_fields_refuse_mass_fields_on_another_grid(width, height, which):
+    # a pair solved on 64 x 32: read on 32 x 64 (the same pixel count) it
+    # gave a wrong value, and on 16 x 16 numpy's shape errors
+    g = GridGeometry(64, 32, 250.0)
+    rng = np.random.default_rng(6)
+    p = field(g, rng.uniform(0.1, 1.0, g.n))
+    q = field(g, rng.uniform(0.1, 1.0, g.n))
+    pair = solve(p, q, eps=1e-1, tol=1e-9)
+    other = GridGeometry(width, height, 250.0)
+    moved = field(other, rng.uniform(0.1, 1.0, other.n))
+    p2, q2 = (moved, q) if which == "p" else (p, moved)
+    grids = f"{re.escape(str(other))}.*{re.escape(str(g))}"
+    with pytest.raises(ValueError, match=grids):
+        wasserstein_value(p2, q2, pair)
+    with pytest.raises(ValueError, match=grids):
+        transport_distance(p2, pair, q=q2)
+    if which == "p":
+        with pytest.raises(ValueError, match=grids):
+            barycentric_map(p2, pair)
+    # the grid is checked before convergence, and without strict too
+    with pytest.raises(ValueError, match=grids):
+        transport_distance(p2, pair, q=q2, strict=False)
+
+
+def test_pair_records_its_grid_through_the_levels():
+    # a coarse-to-fine solve records the finest grid, not a pooled one
+    src, tgt = render_pair(make_scenario("translate", size=256), 1.0)
+    p, q = normalize_to_mass(src), normalize_to_mass(tgt)
+    pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"), max_iter=1)
+    assert pair.coarse_iterations and pair.geometry == p.geometry
 
 
 # ---------------------------------------------------------------------------

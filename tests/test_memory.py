@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from otvelo import (GridGeometry, IntensityRaster, KernelSpec, normalize_to_mass,
-                    save_raster, sinkhorn)
+                    save_raster, sinkhorn, transport_distance)
 from otvelo.cli import main
 
 SIZE = 256
@@ -81,3 +81,14 @@ def test_sinkhorn_peak_memory(block_pair, log_domain, bound):
         sinkhorn(p, q, KernelSpec(1e-3, "conv"), log_domain=log_domain))) <= bound
     (pair,) = pairs
     assert pair.converged and pair.coarse_iterations == ((128, 128, 73),)
+
+
+def test_transport_distance_peak_memory(block_pair):
+    # target_x, target_y, the |x|^2 moment, a kernel pass's product, the
+    # operator's scratch grid and tile (5.7); the operator is dropped before
+    # the cost map's grids are made, and kept through them it peaked at 6.6
+    p, q = (normalize_to_mass(r) for r in block_pair)
+    pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"))
+    masses = [q]
+    del q
+    assert _peak_arrays(lambda: transport_distance(p, pair, q=masses.pop())) <= 6.0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from otvelo import (
     normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
     transport_distance, wasserstein_value,
 )
+from otvelo.fields import _moments
 from otvelo.oracle import _squared_distances
 from otvelo.otcore import (
     _OMEGA_MAX, _PATIENCE, _WARMUP, _SeparableOperator, _coarsens,
-    _make_operator, _out_of_range, _refine, _relaxation_factor, _scaled_apply,
+    _make_operator, _out_of_range, _refine, _relaxation_factor,
     _solve_level, resolve_mode,
 )
 from otvelo.raster import _pool
@@ -76,11 +78,12 @@ def dense_coupling(pair, cost):
 def coupling_marginals(p, pair):
     """Row and column sums u * xi(w) and w * xi(u) of the plan (xi is
     symmetric), through the solve's own kernel operator, from the log
-    scalings as the derived fields form them."""
-    op = _make_operator(pair.kernel, p.geometry)
-    row = _scaled_apply(op, pair.log_u, pair.log_w.copy())
-    col = _scaled_apply(op, pair.log_w, pair.log_u.copy())
-    return row, col
+    scalings as the derived fields form them: the moments of f = 1 of the
+    pair and of the pair with u and w swapped."""
+    one = np.zeros((p.geometry.height, p.geometry.width))
+    row = _moments(pair)(one.copy()).reshape(-1)
+    col = _moments(replace(pair, log_u=pair.log_w, log_w=pair.log_u))(one)
+    return row, col.reshape(-1)
 
 
 def test_kernel_delta_vector_conv_matches_dense():
@@ -261,11 +264,11 @@ def test_band_from_weights_matches_offset_formula(n, eps, mode):
     for rows, cols, block in op.band_x:
         got[rows, cols] = block
     assert np.array_equal(got, ref)
-    # every block is a view of one tile of min(128, n) x (min(128, n) + 2 r)
-    # weights, r the last offset whose weight is nonzero
+    # every block is a view of one tile of 128 x (128 + 2 r) weights, r the
+    # last offset whose weight is nonzero; an axis of at most 128 px keeps
+    # only its one n x n block
     (tile,) = {id(block.base): block.base for _, _, block in op.band_x}.values()
-    rows = min(128, n)
-    assert tile.shape == (rows, rows + 2 * op.reach)
+    assert tile.shape == ((n, n) if n <= 128 else (128, 128 + 2 * op.reach))
     assert ref[op.reach, 0] != 0.0 and (op.reach == n - 1 or ref[op.reach + 1, 0] == 0.0)
 
 
@@ -282,6 +285,26 @@ def test_wide_operator_keeps_a_tile_not_a_band():
     scratch = 8 * g.n
     assert op.reach == 394
     assert kept - scratch <= 2e6 and peak - scratch <= 2e6
+
+
+@pytest.mark.parametrize("width, height", [(64, 64), (64, 48)])
+def test_small_operator_keeps_one_block(width, height):
+    # every axis of at most 128 px is one block of the tile, the corner of
+    # the longer axis's: a 64 px dense operator at eps 1e-2 (reach 63) keeps
+    # that 64 x 64 block (32 KB), where the 64 x 190 tile took 97 KB
+    g = GridGeometry(width, height, 250.0)
+    tracemalloc.start()
+    try:
+        op = _make_operator(KernelSpec(1e-2, "dense"), g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch, block = 8 * g.n, 8 * 64 * 64
+    assert op.reach == 63
+    assert kept - scratch <= block + 4096 and peak - scratch <= block + 8192
+    ((_, _, block_x),), ((_, _, block_y),) = op.band_x, op.band_y
+    assert block_x.shape == (64, 64) and block_y.shape == (height, height)
+    assert block_y.base is block_x.base
 
 
 def test_dense_operator_keeps_a_tile_not_a_band():
@@ -839,9 +862,9 @@ def test_dense_mode_beyond_auto_cutoff_equals_conv(mass_field):
     assert np.array_equal(a.log_w, b.log_w)
 
 
-def test_scaled_apply_matches_linear_moments():
+def test_moments_match_linear_moments():
     # the moments are formed from the log scalings after a linear solve too;
-    # the reference is the linear formula a * xi(b * f)
+    # the reference is the linear formula u * xi(w * f)
     src, tgt = render_pair(make_scenario("translate", size=32), 1.0)
     p, q = normalize_to_mass(src), normalize_to_mass(tgt)
     pair = sinkhorn(p, q, KernelSpec(1e-3, "conv"))
@@ -849,7 +872,8 @@ def test_scaled_apply_matches_linear_moments():
     op = _make_operator(pair.kernel, p.geometry)
     x, y = p.geometry.pixel_centers()
     moments = (x, y, x * x + y * y)
-    got = [_scaled_apply(op, pair.log_u, pair.log_w + np.log(f)) for f in moments]
+    moment = _moments(pair)
+    got = [moment(np.log(f).reshape(32, 32)).reshape(-1) for f in moments]
     for f, g in zip(moments, got):
         ref = np.exp(pair.log_u) * op.apply(np.exp(pair.log_w) * f)
         assert np.all(np.abs(g - ref) <= 1e-12 * ref)
