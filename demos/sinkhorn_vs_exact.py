@@ -9,10 +9,8 @@ Run:  python3 demos/sinkhorn_vs_exact.py
 """
 import numpy as np
 
-from otvelo import (
-    GridGeometry, KernelSpec, MassField, exact_wasserstein, sinkhorn,
-    wasserstein_value,
-)
+from otvelo import GridGeometry, KernelSpec, MassField, sinkhorn, wasserstein_value
+from otvelo.oracle import exact_wasserstein
 
 
 def random_field(geometry, rng):

@@ -11,13 +11,7 @@ from .raster import (
     load_raster, save_raster, apply_ice_mask, equalize_contrast,
     normalize_to_mass, write_field, read_field, NODATA,
 )
-from .otcore import (
-    KernelSpec, ScalingPair,
-    required_truncation_radius, kernel_apply, sinkhorn, DENSE_MAX_PIXELS,
-)
-from .oracle import (
-    ExactPlan, BalanceError, ScaleError, exact_wasserstein, ORACLE_MAX_PIXELS,
-)
+from .otcore import KernelSpec, ScalingPair, sinkhorn
 from .fields import (
     NotConvergedError, wasserstein_value,
     TransportSummary, BarycentricMap, VelocityField, StrainField,
@@ -37,11 +31,8 @@ __all__ = [
     "FormatError", "TruncationError", "MetadataError", "DegenerateImageError",
     "load_raster", "save_raster", "apply_ice_mask", "equalize_contrast",
     "normalize_to_mass", "write_field", "read_field", "NODATA",
-    "KernelSpec", "ScalingPair", "NotConvergedError",
-    "required_truncation_radius", "kernel_apply", "sinkhorn",
-    "wasserstein_value", "DENSE_MAX_PIXELS",
-    "ExactPlan", "BalanceError", "ScaleError", "exact_wasserstein",
-    "ORACLE_MAX_PIXELS",
+    "KernelSpec", "ScalingPair", "NotConvergedError", "sinkhorn",
+    "wasserstein_value",
     "TransportSummary", "BarycentricMap", "VelocityField", "StrainField",
     "transport_distance", "transport_speed", "barycentric_map", "velocity",
     "strain", "principal_strain",

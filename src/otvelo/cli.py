@@ -2,8 +2,8 @@
 
 Subcommands: solve (full transport pipeline on an image pair), ncc (block
 matching baseline), synth (render a synthetic pair), sweep (distance-vs-
-motion curves), oracle (exact small-instance distance), compare-features
-(error report against manually tracked points).
+motion curves), compare-features (error report against manually tracked
+points).
 
 ``solve`` and ``sweep`` exit codes: 0 converged, 2 stopped at max_iter
 (outputs are still written and flagged in the summary or the CSV), 1 anything
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fields, ncc, oracle, otcore, raster, synth
+from . import fields, ncc, otcore, raster, synth
 
 
 def _positive_float(text: str) -> float:
@@ -81,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("target", help="target PGM image")
         sp.add_argument("--source-meta", help="sidecar JSON (default: source with .json)")
         sp.add_argument("--target-meta", help="sidecar JSON (default: target with .json)")
-
-    def add_timed_pair_args(sp):
-        add_pair_args(sp)
         sp.add_argument("--dt", type=_positive_float,
                         help="override the sidecar timestamp difference, seconds")
 
@@ -107,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_seed, default=7)
 
     sp = sub.add_parser("solve", help="run the transport pipeline on an image pair")
-    add_timed_pair_args(sp)
+    add_pair_args(sp)
     sp.add_argument("--out-prefix", required=True, help="prefix for output files")
     sp.add_argument("--eps", type=_positive_float, default=otcore.DEFAULT_EPS,
                     help="regularization strength in normalized units^2")
@@ -132,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("ncc", help="block-matching displacement baseline")
-    add_timed_pair_args(sp)
+    add_pair_args(sp)
     sp.add_argument("--out", required=True, help="output CSV")
     sp.add_argument("--window", type=_positive_int, default=ncc.DEFAULT_WINDOW)
     sp.add_argument("--search-radius", type=_positive_int)
@@ -156,12 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-steps", type=_t_steps, default=11)
     add_solver_args(sp)
     sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("oracle", help="exact transport distance (grids up to "
-                        f"{oracle.ORACLE_MAX_PIXELS} px; timestamps unused)")
-    add_pair_args(sp)
-    sp.add_argument("--floor", type=_positive_float, default=raster.DEFAULT_FLOOR)
-    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("compare-features",
                         help="error report against manually tracked features")
@@ -321,15 +312,6 @@ def cmd_sweep(args) -> int:
         print(f"warning: stopped at max_iter before reaching tol at "
               f"{', '.join(stopped)}; raise --max-iter or --eps", file=sys.stderr)
         return 2
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    src, tgt = _load_pair(args)
-    p = raster.normalize_to_mass(src, args.floor)
-    q = raster.normalize_to_mass(tgt, args.floor)
-    plan = oracle.exact_wasserstein(p, q)
-    print(json.dumps({"value": plan.value, "iterations": plan.iterations}))
     return 0
 
 

@@ -186,8 +186,9 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
-def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
-    """The sidecar's JSON object, checked to carry a number under each key."""
+def _read_sidecar(meta_path: Path, keys: tuple[str, ...], optional=()) -> dict:
+    """The sidecar's JSON object, checked to carry a number under each key
+    and under each optional key it has."""
     try:
         meta = json.loads(meta_path.read_text())
     except FileNotFoundError as exc:
@@ -196,7 +197,7 @@ def _read_sidecar(meta_path: Path, keys: tuple[str, ...]) -> dict:
         raise MetadataError(f"{meta_path}: invalid JSON") from exc
     if not isinstance(meta, dict):
         raise MetadataError(f"{meta_path}: expected a JSON object")
-    for key in keys:
+    for key in (*keys, *(k for k in optional if k in meta)):
         # exact types: JSON true and false load as bools, a subclass of int
         if type(meta.get(key)) not in (int, float):
             raise MetadataError(f"{meta_path}: missing or non-numeric '{key}'")
@@ -434,7 +435,7 @@ def read_field(path: str | Path) -> tuple[np.ndarray, dict]:
     """Read a float32 raster written by :func:`write_field`; NODATA -> NaN."""
     path = Path(path)
     meta_path = _sidecar_path(path)
-    meta = _read_sidecar(meta_path, ("width", "height"))
+    meta = _read_sidecar(meta_path, ("width", "height"), ("nodata",))
     if meta.get("dtype") != "f32le":
         raise MetadataError(f"{meta_path}: unsupported dtype {meta.get('dtype')!r}")
     for key in ("width", "height"):
@@ -447,6 +448,11 @@ def read_field(path: str | Path) -> tuple[np.ndarray, dict]:
         raise TruncationError(f"{path}: expected {width * height} float32 values, got {raw.size}")
     data = raw.astype(np.float64).reshape(height, width)
     # the sentinel was quantized to float32 on write; compare at that precision
-    nodata = float(np.float32(meta.get("nodata", NODATA)))
+    with np.errstate(over="ignore"):
+        nodata = float(np.float32(meta.get("nodata", NODATA)))
+    # NaN, or a value beyond float32, equals no pixel and leaves the sentinel a number
+    if not math.isfinite(nodata):
+        raise MetadataError(f"{meta_path}: 'nodata' must be a finite float32, "
+                            f"got {meta['nodata']}")
     data[data == nodata] = np.nan
     return data, meta

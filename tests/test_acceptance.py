@@ -18,7 +18,6 @@ from otvelo import (
     KernelSpec,
     apply_ice_mask,
     barycentric_map,
-    exact_wasserstein,
     make_scenario,
     ncc_displacements,
     normalize_to_mass,
@@ -33,6 +32,7 @@ from otvelo import (
 )
 from otvelo.cli import compare_features, main
 from otvelo.fields import VelocityField
+from otvelo.oracle import exact_wasserstein
 
 DT = 86400.0
 

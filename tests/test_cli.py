@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -543,73 +542,6 @@ def test_max_iter_warning_gives_advice_in_every_mode(tmp_path, capsys, mode):
     assert ("conv kernel reaches" in err) == (mode == "conv")
 
 
-def _shift_pair(tmp_path, size, t_target=86400.0):
-    """A block and the same block one pixel to the right on a size^2 grid."""
-    g = GridGeometry(size, size, 250.0)
-    a = np.zeros((size, size))
-    b = np.zeros((size, size))
-    mid = size // 2
-    a[mid - 1:mid + 1, mid - 2:mid] = 200.0
-    b[mid - 1:mid + 1, mid - 1:mid + 1] = 200.0
-    save_raster(IntensityRaster(g, a, 0.0), tmp_path / "a.pgm")
-    save_raster(IntensityRaster(g, b, t_target), tmp_path / "b.pgm")
-    return str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
-
-
-def test_oracle_cli_reports_exact_value(tmp_path, capsys):
-    rc = main(["oracle", *_shift_pair(tmp_path, 8)])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["value"] > 0
-    assert report["iterations"] >= 1
-
-
-def test_oracle_cli_ignores_timestamps(tmp_path, capsys):
-    # the exact distance has no time in it: equal or reversed timestamps
-    # give the value of the ordered pair
-    assert main(["oracle", *_shift_pair(tmp_path, 8)]) == 0
-    ordered = json.loads(capsys.readouterr().out)
-    for t_target in (0.0, -86400.0):
-        assert main(["oracle", *_shift_pair(tmp_path, 8, t_target)]) == 0
-        assert json.loads(capsys.readouterr().out) == ordered
-
-
-def test_oracle_cli_floor_moves_the_value(tmp_path, capsys):
-    pair = _shift_pair(tmp_path, 8)
-    values = []
-    for extra in ([], ["--floor", "1e-2"]):
-        assert main(["oracle", *pair, *extra]) == 0
-        values.append(json.loads(capsys.readouterr().out)["value"])
-    assert values[1] != values[0]
-
-
-def test_oracle_cli_refuses_large_grid_before_allocating(tmp_path, capsys):
-    # the 4096^2 cost of a 64^2 pair would take 134 MB per array
-    pair = _shift_pair(tmp_path, 64)
-    tracemalloc.start()
-    try:
-        rc = main(["oracle", *pair])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    assert "256 pixels" in capsys.readouterr().err
-    assert peak < 50e6
-
-
-def test_oracle_cli_large_grid_advice_names_no_conv_mode(tmp_path, capsys):
-    assert main(["oracle", *_shift_pair(tmp_path, 128)]) == 1
-    err = capsys.readouterr().err
-    assert "256 pixels" in err
-    assert "conv" not in err
-
-
-def test_oracle_cli_has_no_dt_option(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", *_shift_pair(tmp_path, 8), "--dt", "1"])
-    assert exc.value.code == 2
-
-
 def test_synth_cli_writes_loadable_pair(tmp_path):
     prefix = str(tmp_path / "scene_")
     rc = main(["synth", "--scenario", "rotate", "--size", "32", "--t", "0.5",
@@ -672,6 +604,30 @@ def test_module_cli_runs_main(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("source", "target"):
         assert load_raster(f"{prefix}{name}.pgm").geometry.width == 16
+
+
+def test_import_does_not_load_the_exact_oracle():
+    # the oracle is the tests' small-grid reference, not part of the product:
+    # neither the package nor the CLI loads it, yet it still imports by name
+    src_dir = str(Path(otvelo.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys\nimport otvelo, otvelo.cli\n"
+            "print('otvelo.oracle' in sys.modules)\n"
+            "from otvelo.oracle import exact_wasserstein\n"
+            "from otvelo.otcore import kernel_apply\n"
+            "print(callable(exact_wasserstein), callable(kernel_apply))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "True True"]
+
+
+def test_oracle_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "a.pgm", "b.pgm"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
 
 def test_sweep_cli_writes_curve_csv(tmp_path, capsys):

@@ -1,14 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from otvelo import (
-    BalanceError, GridGeometry, KernelSpec, MassField, ORACLE_MAX_PIXELS,
-    ScaleError, exact_wasserstein, sinkhorn, wasserstein_value,
+from otvelo import GridGeometry, KernelSpec, MassField, sinkhorn, wasserstein_value
+from otvelo.oracle import (
+    ORACLE_MAX_PIXELS, BalanceError, ScaleError, _squared_distances, exact_wasserstein,
 )
-from otvelo.oracle import _squared_distances
 
 
 def brute_force_value(cost, a, b):
@@ -172,6 +172,19 @@ def test_balance_and_scale_errors():
     with pytest.raises(ScaleError):
         exact_wasserstein(pb, pb)
     assert ORACLE_MAX_PIXELS == 256
+    # the 4096^2 cost of a 64^2 pair would take 134 MB per array; the refusal
+    # comes first, and its advice names no conv mode
+    g64 = GridGeometry(64, 64, 250.0)
+    p64 = field(g64, np.ones(g64.n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError, match="256 pixels") as exc:
+            exact_wasserstein(p64, p64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "conv" not in str(exc.value)
+    assert peak < 50e6
 
     turned = field(GridGeometry(1, 2, 250.0), [0.5, 0.5])
     with pytest.raises(ValueError, match="share one grid geometry"):

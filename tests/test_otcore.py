@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from otvelo import (
-    DENSE_MAX_PIXELS, GridGeometry, IntensityRaster, KernelSpec,
-    NotConvergedError, kernel_apply, make_scenario,
-    normalize_to_mass, render_pair, required_truncation_radius, sinkhorn,
-    transport_distance, wasserstein_value,
+    GridGeometry, IntensityRaster, KernelSpec, NotConvergedError, make_scenario,
+    normalize_to_mass, render_pair, sinkhorn, transport_distance, wasserstein_value,
 )
 from otvelo.fields import _moments
 from otvelo.oracle import _squared_distances
 from otvelo.otcore import (
-    _OMEGA_MAX, _PATIENCE, _WARMUP, _SeparableOperator, _coarsens,
-    _make_operator, _out_of_range, _refine, _relaxation_factor,
-    _solve_level, resolve_mode,
+    DENSE_MAX_PIXELS, _OMEGA_MAX, _PATIENCE, _WARMUP, _SeparableOperator,
+    _coarsens, _make_operator, _out_of_range, _refine, _relaxation_factor,
+    _solve_level, kernel_apply, required_truncation_radius, resolve_mode,
 )
 from otvelo.raster import _pool
 

@@ -447,6 +447,34 @@ def test_field_sidecar_refuses_bad_grid_sizes(tmp_path, width, height, key, bad)
         read_field(path)
 
 
+@pytest.mark.parametrize(
+    "nodata", [True, None, "x", [1], 10**400, math.nan, math.inf, 1e300],
+    ids=["bool", "null", "string", "list", "huge_int", "nan", "inf", "beyond_float32"])
+def test_field_sidecar_refuses_non_numeric_nodata(tmp_path, nodata):
+    # true masked every 1.0; null, NaN and 1e300 (inf in float32) kept the
+    # sentinel as a number; a list or an overflowing integer raised past the
+    # CLI as a traceback
+    path = tmp_path / "f.f32"
+    write_field(path, np.array([1.0, np.nan, 2.0, 3.0]), GridGeometry(2, 2, 250.0))
+    meta = path.with_suffix(".json")
+    doc = json.loads(meta.read_text())
+    doc["nodata"] = nodata
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(MetadataError, match=r"f\.json: .*'nodata'"):
+        read_field(path)
+
+
+def test_field_sidecar_without_nodata_keeps_the_default(tmp_path):
+    path = tmp_path / "f.f32"
+    write_field(path, np.array([1.0, np.nan, 2.0, 3.0]), GridGeometry(2, 2, 250.0))
+    meta = path.with_suffix(".json")
+    doc = json.loads(meta.read_text())
+    del doc["nodata"]
+    meta.write_text(json.dumps(doc))
+    back, _ = read_field(path)
+    assert np.array_equal(np.isnan(back), [[False, True], [False, False]])
+
+
 def test_field_sidecar_errors_name_the_sidecar(tmp_path):
     g = GridGeometry(4, 4, 250.0)
     path = tmp_path / "f.f32"
