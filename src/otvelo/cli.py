@@ -22,51 +22,29 @@ import numpy as np
 from . import fields, ncc, otcore, raster, synth
 
 
-def _positive_float(text: str) -> float:
-    val = float(text)
-    if not (val > 0 and np.isfinite(val)):
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return val
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert(text)``, refused with ``requirement``
+    unless ``ok`` holds, and with the kind of number needed if unparsable."""
+    def parse(text: str):
+        try:
+            val = convert(text)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+        if not ok(val):
+            raise argparse.ArgumentTypeError(requirement)
+        return val
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    _positive_float(text)  # refuses 0, negatives and inf; int() refuses 1.5
-    return int(text)
-
-
-def _seed(text: str) -> int:
-    val = int(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return val
-
-
-def _mask_threshold(text: str) -> float:
-    val = float(text)
-    if not 0 <= val <= 255:  # refuses nan too
-        raise argparse.ArgumentTypeError("must lie in [0, 255]")
-    return val
-
-
-def _correlation_threshold(text: str) -> float:
-    val = float(text)
-    if not 0 < val <= 1:  # refuses nan too
-        raise argparse.ArgumentTypeError("must lie in (0, 1]")
-    return val
-
-
-def _interval_fraction(text: str) -> float:
-    val = float(text)
-    if not 0 <= val <= 1:  # refuses nan too
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return val
-
-
-def _t_steps(text: str) -> int:
-    val = _positive_int(text)
-    if val < 2:
-        raise argparse.ArgumentTypeError("must be at least 2")
-    return val
+# every comparison is false for nan, so each float check refuses it
+_positive_float = _checked(float, lambda v: 0 < v < np.inf, "must be positive and finite")
+_positive_int = _checked(int, lambda v: v > 0, "must be positive and finite")
+_seed = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+_mask_threshold = _checked(float, lambda v: 0 <= v <= 255, "must lie in [0, 255]")
+_correlation_threshold = _checked(float, lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_interval_fraction = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_t_steps = _checked(int, lambda v: v >= 2, "must be at least 2")
 
 
 def build_parser() -> argparse.ArgumentParser:

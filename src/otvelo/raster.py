@@ -297,24 +297,6 @@ def apply_ice_mask(raster: IntensityRaster, threshold: float = DEFAULT_MASK_THRE
     return raster.flat > threshold
 
 
-def _tile_edges(extent: int, tile: int) -> np.ndarray:
-    edges = np.arange(0, extent, tile)
-    return np.append(edges, extent)
-
-
-def _tile_mapping(values: np.ndarray, clip_limit: float) -> np.ndarray:
-    """Clipped-histogram CDF mapping for one tile, 256 bins -> [0, 255]."""
-    if values.size == 0:
-        return np.arange(_HIST_BINS, dtype=np.float64)
-    bins = np.clip(np.floor(values).astype(np.intp), 0, _HIST_BINS - 1)
-    hist = np.bincount(bins, minlength=_HIST_BINS).astype(np.float64)
-    clip_at = clip_limit * values.size / _HIST_BINS
-    excess = np.maximum(hist - clip_at, 0.0).sum()
-    hist = np.minimum(hist, clip_at) + excess / _HIST_BINS
-    cdf = np.cumsum(hist)
-    return cdf * (255.0 / cdf[-1])
-
-
 def equalize_contrast(raster: IntensityRaster, tile: int = DEFAULT_TILE,
                       clip_limit: float = DEFAULT_CLIP_LIMIT,
                       mask: np.ndarray | None = None) -> IntensityRaster:
@@ -323,44 +305,59 @@ def equalize_contrast(raster: IntensityRaster, tile: int = DEFAULT_TILE,
     Per-tile histograms (over masked-in pixels only, when ``mask`` is given)
     are clipped at ``clip_limit * n_tile / 256`` with the excess redistributed
     uniformly, turned into CDF mappings, and blended bilinearly between tile
-    centers.  Masked-out pixels keep their raw values.
+    centers.  A tile without masked-in pixels maps by the identity.
+    Masked-out pixels keep their raw values.
 
     Parameters
     ----------
     raster : IntensityRaster
     tile : int
-        Tile side length in pixels, 2 <= tile <= min(width, height).
+        Tile side length in pixels, 2 <= tile <= min(width, height); the
+        last tile along each axis takes the remainder.
     clip_limit : float
         Histogram clip factor relative to a flat histogram.
     mask : flat bool array, optional
         Pixels to equalize; defaults to all.
     """
     g = raster.geometry
-    if tile < 2 or tile > min(g.width, g.height):
-        raise ValueError("tile must satisfy 2 <= tile <= min(width, height)")
+    # a bool is an int, but no tile side
+    if (type(tile) is bool or not isinstance(tile, (int, np.integer))
+            or not 2 <= tile <= min(g.width, g.height)):
+        raise ValueError("tile must be an integer in [2, min(width, height)], "
+                         f"got {tile!r}")
     if not clip_limit > 0:
         raise ValueError("clip_limit must be positive")
     mask2d = (np.ones((g.height, g.width), dtype=bool) if mask is None
               else np.asarray(mask, dtype=bool).reshape(g.height, g.width))
+    bins = np.clip(np.floor(raster.values).astype(np.intp), 0, _HIST_BINS - 1)
 
-    row_edges = _tile_edges(g.height, tile)
-    col_edges = _tile_edges(g.width, tile)
-    n_rows = len(row_edges) - 1
-    n_cols = len(col_edges) - 1
-    mappings = np.empty((n_rows, n_cols, _HIST_BINS))
-    for r in range(n_rows):
-        for c in range(n_cols):
-            block = raster.values[row_edges[r]:row_edges[r + 1],
-                                  col_edges[c]:col_edges[c + 1]]
-            sel = mask2d[row_edges[r]:row_edges[r + 1],
-                         col_edges[c]:col_edges[c + 1]]
-            mappings[r, c] = _tile_mapping(block[sel], clip_limit)
+    # One count over (tile, bin) keys, weighted by the mask, gives every
+    # tile's histogram as floats.  They become mappings in place, with one
+    # temporary for the excess, so the peak stays near a per-tile loop's.
+    n_rows, n_cols = -(-g.height // tile), -(-g.width // tile)
+    keys = np.add.outer(np.arange(g.height) // tile * (n_cols * _HIST_BINS),
+                        np.arange(g.width) // tile * _HIST_BINS)
+    keys += bins
+    mappings = np.bincount(keys.reshape(-1), weights=mask2d.reshape(-1),
+                           minlength=n_rows * n_cols * _HIST_BINS
+                           ).reshape(n_rows, n_cols, _HIST_BINS)
+    del keys
+    counts = mappings.sum(axis=2, keepdims=True)
+    clip_at = clip_limit * counts / _HIST_BINS
+    excess = mappings - clip_at
+    spill = np.maximum(excess, 0.0, out=excess).sum(axis=2, keepdims=True) / _HIST_BINS
+    del excess
+    np.minimum(mappings, clip_at, out=mappings)
+    mappings += spill
+    np.cumsum(mappings, axis=2, out=mappings)
+    mappings[counts[..., 0] == 0] = np.arange(_HIST_BINS)  # then scaled by 255 / 255
+    mappings *= 255.0 / mappings[..., -1:]
 
     # Bilinear blend between tile-center mappings, clamped at the borders.
-    centers_y = (row_edges[:-1] + row_edges[1:] - 1) / 2.0
-    centers_x = (col_edges[:-1] + col_edges[1:] - 1) / 2.0
-
-    def _axis_weights(coords, centers):
+    def _axis_weights(extent):
+        coords = np.arange(extent, dtype=np.float64)
+        lo = np.arange(0, extent, tile)
+        centers = (lo + np.minimum(lo + tile, extent) - 1) / 2.0
         if len(centers) == 1:
             return np.zeros(len(coords), dtype=np.intp), np.zeros(len(coords))
         i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1,
@@ -368,16 +365,11 @@ def equalize_contrast(raster: IntensityRaster, tile: int = DEFAULT_TILE,
         frac = (coords - centers[i0]) / (centers[i0 + 1] - centers[i0])
         return i0, np.clip(frac, 0.0, 1.0)
 
-    iy0, ty = _axis_weights(np.arange(g.height, dtype=np.float64), centers_y)
-    ix0, tx = _axis_weights(np.arange(g.width, dtype=np.float64), centers_x)
-    iy0 = iy0[:, None]
-    ix0 = ix0[None, :]
-    ty = ty[:, None]
-    tx = tx[None, :]
+    iy0, ty = (a[:, None] for a in _axis_weights(g.height))
+    ix0, tx = _axis_weights(g.width)
     iy1 = np.minimum(iy0 + 1, n_rows - 1)
     ix1 = np.minimum(ix0 + 1, n_cols - 1)
 
-    bins = np.clip(np.floor(raster.values).astype(np.intp), 0, _HIST_BINS - 1)
     blended = ((1 - ty) * ((1 - tx) * mappings[iy0, ix0, bins]
                            + tx * mappings[iy0, ix1, bins])
                + ty * ((1 - tx) * mappings[iy1, ix0, bins]

@@ -947,6 +947,34 @@ def test_compare_features_checks_the_bundle(solved, tmp_path, capsys, edit, mess
     assert f"{prefix}{message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, need", [
+    ("solve", "--eps", "abc", "a number"),
+    ("solve", "--max-iter", "1.5", "an integer"),
+    ("synth", "--seed", "x", "an integer"),
+    ("sweep", "--t-steps", "two", "an integer"),
+    ("solve", "--mask-threshold", "abc", "a number"),
+], ids=["eps", "max_iter", "seed", "t_steps", "mask_threshold"])
+def test_unparsable_number_names_what_the_flag_needs(tmp_path, capsys, command,
+                                                     flag, value, need):
+    # refused while parsing, with the flag and the kind of number named
+    # rather than the name of the function that parses it
+    target = {
+        "solve": [str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+                  "--out-prefix", str(tmp_path / "o_")],
+        "synth": ["--scenario", "translate", "--size", "16",
+                  "--out-prefix", str(tmp_path / "s_")],
+        "sweep": ["--scenario", "translate", "--size", "16",
+                  "--out", str(tmp_path / "sweep.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be {need}, got {value!r}" in err
+    assert "invalid _" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing positionals and --out-prefix

@@ -323,14 +323,24 @@ def clahe_reference(vals, tile, clip_limit, mask):
     return np.clip(out, 0.0, 255.0)
 
 
-def test_equalize_matches_scalar_reference():
+@pytest.mark.parametrize("height, width, tile, clip_limit, empty_tile", [
+    (64, 64, 8, 2.0, False),
+    (45, 37, 8, 2.0, False),   # a partial last tile along both axes
+    (40, 33, 7, 2.0, False),   # an odd tile
+    (48, 40, 8, 2.0, True),    # one tile maps by the identity
+    (64, 64, 8, 0.5, False),   # a clip below the flat histogram
+], ids=["64x64", "45x37_partial", "tile_7", "empty_tile", "clip_0.5"])
+def test_equalize_matches_scalar_reference(height, width, tile, clip_limit,
+                                           empty_tile):
     rng = np.random.default_rng(3)
-    vals = np.clip(rng.normal(120.0, 40.0, (64, 64)), 0.0, 255.0)
-    g = GridGeometry(64, 64, 250.0)
-    r = IntensityRaster(g, vals, 0.0)
-    mask = (vals > 60.0).reshape(-1)
-    eq = equalize_contrast(r, tile=8, clip_limit=2.0, mask=mask)
-    ref = clahe_reference(vals, 8, 2.0, mask.reshape(64, 64))
+    vals = np.clip(rng.normal(120.0, 40.0, (height, width)), 0.0, 255.0)
+    r = IntensityRaster(GridGeometry(width, height, 250.0), vals, 0.0)
+    mask = vals > 60.0
+    if empty_tile:
+        mask[tile:2 * tile, tile:2 * tile] = False
+    eq = equalize_contrast(r, tile=tile, clip_limit=clip_limit,
+                           mask=mask.reshape(-1))
+    ref = clahe_reference(vals, tile, clip_limit, mask)
     assert np.abs(eq.values - ref).max() < 1e-9
 
 
@@ -381,6 +391,11 @@ def test_equalize_rejects_bad_tile():
         equalize_contrast(r, tile=5)  # exceeds the short axis
     with pytest.raises(ValueError):
         equalize_contrast(r, tile=4, clip_limit=0.0)
+    # in range by value, but a float cannot index a tile and a bool is no size
+    big = make_raster(width=16, height=16)
+    for tile in (8.0, True):
+        with pytest.raises(ValueError, match="tile"):
+            equalize_contrast(big, tile=tile)
 
 
 # ---------------------------------------------------------------------------
